@@ -300,8 +300,7 @@ def write_frame_glyphs(path, S, omega_field):
 def _checks_for(field, conn, S, lam, zcc_sup):
     """Ordered (name, residual) pairs for one evaluation point."""
     import numpy as np
-    from . import analysis
-    from .loops import eval_coeffs, I2
+    from . import analysis, frames
     rep = analysis.fundamental_forms(S)
     omega = _omega(conn)
     sin_om = np.sin(omega)
@@ -316,10 +315,7 @@ def _checks_for(field, conn, S, lam, zcc_sup):
         k_res = float(np.abs(rep.K[regular] + 1.0).max())
     else:
         k_res = 0.0
-    Ue = eval_coeffs(field.Uhat, -field.n_trunc, lam)
-    herm = np.einsum("...ab,...cb->...ac", Ue, np.conj(Ue)) - I2
-    det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
-    unit = max(float(np.abs(herm).max()), float(np.abs(det - 1.0).max()))
+    unit = frames.unitarity_residual(field.Uhat, -field.n_trunc, lam)
     hx = float(S.x[1] - S.x[0])
     hy = float(S.y[1] - S.y[0])
     sg = analysis.sine_gordon_residual(omega, hx, hy)

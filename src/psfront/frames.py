@@ -20,9 +20,13 @@ import math
 import numpy as np
 
 from . import loops
-from .loops import (DEFAULT_TRUNC, I2, TwistedLoop, eval_coeffs, inverse_coeffs,
-                    mul_coeffs, parity_project, parity_violation, sup_abs)
+from .analysis import d_x, d_y
+from .loops import (DEFAULT_TRUNC, I2, RealFormError, TwistedLoop, eval_coeffs,
+                    inverse_coeffs, mul_coeffs, pack, packed_adjugate,
+                    packed_mul, real_form_defect, sup_abs, unpack)
 from .potentials import eta_minus, eta_plus
+
+REAL_FORM_TOL = 1e-12               # packing is exact only on real-form input
 
 
 class GridError(ValueError):
@@ -138,35 +142,30 @@ def integrate_half_frame(spec, axis, grid, n_trunc=DEFAULT_TRUNC):
 # ---------------------------------------------------------------------------
 # Birkhoff splitting
 
-def _split_negative(G, N):
-    """Normalized nonpositive factors for a batch of loops.
+def _split_negative(ge, go, N):
+    """One column of the normalized nonpositive factor, for a batch of loops.
 
-    G: (nodes, 2N+1, 2, 2) with degrees -N..N. Solves the block-Toeplitz system
-    that kills the negative degrees of G L_minus; returns L_minus with degrees
-    -N..0 (ascending) and unit degree-0 coefficient.
+    By twist parity a column of L_minus is one scalar per degree, x_m =
+    L_m[row(m), c] with row(m) alternating with m. ge and go (nodes, 2N+1;
+    degrees -N..N) hold G_i[row(m + i), row(m)] for m even and m odd. Kills
+    degrees -1..-N of G L_minus with x_0 = 1; returns x at degrees -N..0.
     """
-    nodes = G.shape[0]
-    X = np.empty((nodes, 2 * N, 2), complex)
+    nodes = ge.shape[0]
+    k = np.arange(N)                   # equation di at degree -1-di, unknown ki at -1-ki
+    toeplitz = N + k[None, :] - k[:, None]
+    odd = np.broadcast_to((k + 1) % 2, (N, N))
+    x = np.empty((nodes, N + 1), complex)
+    x[:, N] = 1.0
     chunk = 8192                       # bounds the dense Toeplitz workspace
     for s in range(0, nodes, chunk):
-        Gc = G[s:s + chunk]
-        nc = Gc.shape[0]
-        M = np.zeros((nc, 2 * N, 2 * N), complex)
-        rhs = np.zeros((nc, 2 * N, 2), complex)
-        for di in range(N):
-            for ki in range(N):
-                M[:, 2 * di:2 * di + 2, 2 * ki:2 * ki + 2] = Gc[:, N + ki - di]
-            rhs[:, 2 * di:2 * di + 2] = -Gc[:, N - 1 - di]
+        M = np.stack([ge[s:s + chunk], go[s:s + chunk]], axis=1)[:, odd, toeplitz]
+        rhs = -ge[s:s + chunk, N - 1 - k]
         try:
-            X[s:s + chunk] = np.linalg.solve(M, rhs)
+            x[s:s + chunk, N - 1 - k] = np.linalg.solve(M, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SplitError(f"singular Toeplitz system in nodes "
-                             f"[{s}, {s + nc}): {exc}") from None
-    Lm = np.zeros((nodes, N + 1, 2, 2), complex)
-    Lm[:, N] = I2
-    for ki in range(N):
-        Lm[:, N - 1 - ki] = X[:, 2 * ki:2 * ki + 2]
-    return Lm
+                             f"[{s}, {s + M.shape[0]}): {exc}") from None
+    return x
 
 
 def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
@@ -183,11 +182,16 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
         raise ValueError(f"n_trunc {N} too small for window {G.window}")
     Gc = np.zeros((1, 2 * N + 1, 2, 2), complex)
     Gc[0, G.k_min + N:G.k_max + N + 1] = G.coeffs
-    Lm = _split_negative(Gc, N)
-    parity_project(Lm, -N)
+    par = np.arange(-N, N + 1) % 2
+    ge = Gc[:, np.arange(2 * N + 1), par, 0]         # column 0: row(m) = m % 2
+    go = Gc[:, np.arange(2 * N + 1), 1 - par, 1]
+    Lm = np.zeros((1, N + 1, 2, 2), complex)
+    par = par[:N + 1]                                # degrees -N..0
+    Lm[0, np.arange(N + 1), par, 0] = _split_negative(ge, go, N)[0]
+    Lm[0, np.arange(N + 1), 1 - par, 1] = _split_negative(go, ge, N)[0]
     GL = mul_coeffs(Gc, Lm, -N, -N, -2 * N, 3 * N + 1)
     residual = sup_abs(GL[:, :2 * N])
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise SplitError(f"split residual {residual:.3e} exceeds "
                          f"{residual_tol:g}")
     Lp = TwistedLoop(0, GL[0, 2 * N:])
@@ -221,9 +225,6 @@ class FrameField:
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
 
-    def uhat_loop(self, ix, iy):
-        return TwistedLoop(-self.n_trunc, self.Uhat[ix, iy])
-
     def __repr__(self):
         return (f"FrameField({len(self.x)}x{len(self.y)}, trunc={self.n_trunc}, "
                 f"split={self.split_residual.max():.2e})")
@@ -245,9 +246,9 @@ def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
 
     The one-dimensional families are integrated once; the per-node work is the
     Toeplitz solve and a handful of window products, vectorized over the whole
-    grid in degree-sized batches. Default tolerances follow the truncation
-    tail of the ladder, which is what the consistency and unitarity defects
-    consist of.
+    grid on packed loops (loops.pack); a family off the twisted real form
+    raises RealFormError. Default tolerances follow the truncation tail of the
+    ladder, which is what the consistency and unitarity defects consist of.
     """
     if up.axis != "x" or um.axis != "y":
         raise GridError("expected an x-axis family and a y-axis family")
@@ -260,63 +261,64 @@ def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
     if unitarity_tol is None:
         # unitarity is probed at lambda in {1/2, 1, 2}
         unitarity_tol = max(1e-9, 50.0 * truncation_tail(N, reach, lam_amp=2.0))
+    parity_defect = 0.0
+    for fam in (up, um):
+        defect = real_form_defect(fam.coeffs, fam.k_min)
+        if not defect <= REAL_FORM_TOL:
+            raise RealFormError(
+                f"{fam.axis}-axis half-frame family leaves the twisted SU(2) "
+                f"real form: defect {defect:.3e} exceeds {REAL_FORM_TOL:g}")
+        parity_defect = max(parity_defect, defect)
     nx, ny = len(up.nodes), len(um.nodes)
-    Vinv = inverse_coeffs(um.coeffs, -N, -N, N + 1)     # (ny, N+1), degrees -N..0
+    # packed loops from here on: one complex scalar per degree
+    Vinv = pack(inverse_coeffs(um.coeffs, -N, -N, N + 1), -N)  # (ny, N+1), -N..0
+    Up = pack(up.coeffs, 0)[:, None]                           # (nx, 1, N+1), 0..N
+    Um = pack(um.coeffs, -N)[None, :]                          # (1, ny, N+1), -N..0
     # G(x, y) = U_minus(y)^{-1} U_plus(x), degrees -N..N
-    G = np.zeros((nx, ny, 2 * N + 1, 2, 2), complex)
-    for d in range(-N, N + 1):
-        for a in range(max(-N, d - N), min(0, d) + 1):
-            G[:, :, d + N] += np.einsum("yab,xbc->xyac",
-                                        Vinv[:, a + N], up.coeffs[:, d - a])
-    G = G.reshape(nx * ny, 2 * N + 1, 2, 2)
-    Lm = _split_negative(G, N)
-    parity_defect = parity_violation(Lm, -N)
-    parity_project(Lm, -N)
-    GL = mul_coeffs(G, Lm, -N, -N, -2 * N, 3 * N + 1)
-    del G
-    Lp = np.ascontiguousarray(GL[:, 2 * N:])
-    split_res = np.abs(GL[:, :2 * N]).reshape(nx * ny, -1).max(axis=1)
-    del GL
-    Up_b = np.broadcast_to(up.coeffs[:, None], (nx, ny, N + 1, 2, 2)) \
-        .reshape(nx * ny, N + 1, 2, 2)
-    Um_b = np.broadcast_to(um.coeffs[None, :], (nx, ny, N + 1, 2, 2)) \
-        .reshape(nx * ny, N + 1, 2, 2)
-    Uhat = mul_coeffs(Up_b, Lm, 0, -N, -N, 2 * N + 1)
-    Uhat2 = mul_coeffs(Um_b, Lp, -N, 0, -N, 2 * N + 1)
-    consistency = np.abs(Uhat - Uhat2).reshape(nx * ny, -1).max(axis=1)
-    del Uhat2
+    G = packed_mul(Vinv[None, :], Up, -N, 0, -N, 2 * N + 1).reshape(nx * ny, -1)
+    # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even degrees
+    # and -conj(p) on odd ones, for G and for the solution alike
+    o = (N + 1) % 2                                            # first odd slot
+    ge, go = G.copy(), G.conj()
+    ge[:, o::2], go[:, o::2] = -go[:, o::2], G[:, o::2]
+    Lm = _split_negative(ge, go, N)
+    Lm[:, o::2] = -Lm[:, o::2].conj()
+    GL = packed_mul(G, Lm, -N, -N, -2 * N, 3 * N + 1)
+    Lp = GL[:, 2 * N:].reshape(nx, ny, N + 1)
+    split_res = np.abs(GL[:, :2 * N]).max(axis=1).reshape(nx, ny)
+    Lm = Lm.reshape(nx, ny, N + 1)
+    Uhat = packed_mul(Up, Lm, 0, -N, -N, 2 * N + 1)
+    consistency = np.abs(
+        Uhat - packed_mul(Um, Lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
+    Uhat = unpack(Uhat, -N)
     field = FrameField(
-        up.nodes, um.nodes, N, up.spec,
-        Uhat.reshape(nx, ny, 2 * N + 1, 2, 2),
-        Lp.reshape(nx, ny, N + 1, 2, 2),
-        Lm.reshape(nx, ny, N + 1, 2, 2),
-        split_res.reshape(nx, ny),
-        consistency.reshape(nx, ny),
-        parity_defect,
-        {lam: _unitarity_residual(Uhat, -N, lam) for lam in (0.5, 1.0, 2.0)})
+        up.nodes, um.nodes, N, up.spec, Uhat, unpack(Lp, 0), unpack(Lm, -N),
+        split_res, consistency, parity_defect,
+        {lam: unitarity_residual(Uhat, -N, lam) for lam in (0.5, 1.0, 2.0)})
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
 
 
-def _unitarity_residual(Uhat_flat, kmin, lam):
-    Ue = eval_coeffs(Uhat_flat, kmin, lam)
-    un = sup_abs(np.einsum("nab,ncb->nac", Ue, Ue.conj()) - I2)
-    det = Ue[:, 0, 0] * Ue[:, 1, 1] - Ue[:, 0, 1] * Ue[:, 1, 0]
+def unitarity_residual(C, kmin, lam):
+    """max(|U U^H - I|, |det U - 1|) over all loops C evaluated at lam."""
+    Ue = eval_coeffs(C, kmin, lam)
+    un = sup_abs(np.einsum("...ab,...cb->...ac", Ue, Ue.conj()) - I2)
+    det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
     return max(un, sup_abs(det - 1.0))
 
 
 def _validate_field(field, consistency_tol, unitarity_tol):
     c = field.consistency.max()
-    if c > consistency_tol:
+    if not c <= consistency_tol:
         raise SplitError(f"factor consistency defect {c:.3e} exceeds "
                          f"{consistency_tol:g}")
     for lam, resid in field.unitarity.items():
-        if resid > unitarity_tol:
+        if not resid <= unitarity_tol:
             raise SplitError(f"unitarity residual {resid:.3e} at lambda={lam} "
                              f"exceeds {unitarity_tol:g}")
     origin = field.Uhat[field.i0x, field.i0y].copy()
     origin[field.n_trunc] -= I2
-    if sup_abs(origin) > 1e-12:
+    if not sup_abs(origin) <= 1e-12:
         raise SplitError("frame at the origin is not the identity")
 
 
@@ -346,31 +348,11 @@ class ConnectionField:
         self.q = 1j * np.exp(-1j * alpha)
         self.shape_report = shape_report
         nx, ny = phihat.shape
-        w1_0 = np.zeros((nx, ny, 2, 2), complex)
-        w1_0[..., 0, 0] = 0.5j * r
-        w1_0[..., 1, 1] = -0.5j * r
-        w1_1 = np.zeros((nx, ny, 2, 2), complex)
-        w1_1[..., 0, 1] = 0.5 * self.q[:, None]
-        w1_1[..., 1, 0] = -0.5 * np.conj(self.q)[:, None]
-        w2_m1 = np.zeros((nx, ny, 2, 2), complex)
-        w2_m1[..., 0, 1] = -0.5 * self.p
-        w2_m1[..., 1, 0] = 0.5 * np.conj(self.p)
-        self.omega1_c0 = w1_0
-        self.omega1_c1 = w1_1
-        self.omega2_cm1 = w2_m1
-
-
-def _d_axis0(F, h):
-    """Order-2 first derivative along axis 0, one-sided at the edges."""
-    out = np.empty_like(F)
-    out[1:-1] = (F[2:] - F[:-2]) / (2 * h)
-    out[0] = (-3 * F[0] + 4 * F[1] - F[2]) / (2 * h)
-    out[-1] = (3 * F[-1] - 4 * F[-2] + F[-3]) / (2 * h)
-    return out
-
-
-def _d_axis1(F, h):
-    return np.swapaxes(_d_axis0(np.swapaxes(F, 0, 1), h), 0, 1)
+        w1 = unpack(np.stack([0.5j * r, np.broadcast_to(0.5 * self.q[:, None],
+                                                         (nx, ny))], -1), 0)
+        self.omega1_c0 = w1[..., 0, :, :]
+        self.omega1_c1 = w1[..., 1, :, :]
+        self.omega2_cm1 = unpack(-0.5 * self.p[..., None], -1)[..., 0, :, :]
 
 
 def extract_connection(field, check_shape=True, shape_tol=None):
@@ -410,21 +392,10 @@ def _shape_check(field, alpha, beta, phihat, r, tol):
         # there from O(h^2) to O(h)
         tol = max(0.5 * h, 8.0 * h * h)
     N = field.n_trunc
-    U = field.Uhat
-    Uinv = loops.adjugate_coeffs(U)          # det U_hat = 1 up to truncation tail
-    Ux = _d_axis0(U, hx)
-    Uy = _d_axis1(U, hy)
-
-    def window_product(B, dlo, dhi):
-        out = np.zeros(U.shape[:2] + (dhi - dlo + 1, 2, 2), complex)
-        for d in range(dlo, dhi + 1):
-            for a in range(max(-N, d - N), min(N, d + N) + 1):
-                out[:, :, d - dlo] += np.einsum(
-                    "xyab,xybc->xyac", Uinv[:, :, a + N], B[:, :, d - a + N])
-        return out
-
-    W1 = window_product(Ux, -3, 3)
-    W2 = window_product(Uy, -3, 3)
+    U = pack(field.Uhat, -N)
+    Uinv = packed_adjugate(U, -N)            # det U_hat = 1 up to truncation tail
+    W1 = unpack(packed_mul(Uinv, d_x(U, hx), -N, -N, -3, 7), -3)
+    W2 = unpack(packed_mul(Uinv, d_y(U, hy), -N, -N, -3, 7), -3)
     defects = {}
     # off-pattern degrees
     defects["w1 degrees outside {0,1}"] = max(
@@ -447,9 +418,9 @@ def _shape_check(field, alpha, beta, phihat, r, tol):
     defects["phihat vs FD"] = sup_abs(phi_fd - phihat)
     defects["w2 off-diagonal modulus vs 1/2"] = sup_abs(
         np.abs(W2[:, :, 2, 0, 1]) - 0.5)
-    defects["r vs -d phihat/dx"] = sup_abs(_d_axis0(phihat, hx) + r)
-    worst = max(defects, key=defects.get)
-    if defects[worst] > tol:
+    defects["r vs -d phihat/dx"] = sup_abs(d_x(phihat, hx) + r)
+    worst = max(defects, key=lambda k: (math.isnan(defects[k]), defects[k]))
+    if not defects[worst] <= tol:
         raise ConnectionShapeError(
             f"connection shape defect '{worst}' = {defects[worst]:.3e} "
             f"exceeds {tol:.3e}")
@@ -472,8 +443,8 @@ def zcc_residual(conn):
         return (np.einsum("...ab,...bc->...ac", A, B)
                 - np.einsum("...ab,...bc->...ac", B, A))
 
-    res0 = _d_axis1(w1_0, hy) + comm(w2_m1, w1_1)
-    resm1 = -_d_axis0(w2_m1, hx) + comm(w2_m1, w1_0)
-    resp1 = _d_axis1(w1_1, hy)
+    res0 = d_y(w1_0, hy) + comm(w2_m1, w1_1)
+    resm1 = -d_x(w2_m1, hx) + comm(w2_m1, w1_0)
+    resp1 = d_y(w1_1, hy)
     stack = np.stack([np.abs(res0), np.abs(resm1), np.abs(resp1)], axis=-1)
     return stack.reshape(stack.shape[:2] + (-1,)).max(axis=-1)

@@ -6,10 +6,16 @@ degree. The twist symmetry g(-lambda) = Ad(sigma3) g(lambda) forces even-degree
 coefficients to be diagonal and odd-degree ones to be anti-diagonal; those
 structural zeros are enforced at construction time.
 
-All products and inverses are window-truncated. The low-level kernels operate
-on plain ndarrays with arbitrary leading batch axes so that whole grids of
-loops can be processed in one call; the TwistedLoop class wraps a single loop
-for the public operations.
+Every loop the frame pipeline makes also lies in the SU(2) real form, with
+coefficients [[a, b], [-conj(b), conj(a)]]: with the twist parity that is one
+complex scalar per degree (pack / unpack), multiplied by packed_mul.
+
+All products and inverses are window-truncated and reduce to one kernel,
+scalar_conv, a shift-add over the coefficients of its first factor, with
+arbitrary leading batch axes so that whole grids of loops are processed in
+one call. The general complex product mul_coeffs is the reference for
+packed_mul; the TwistedLoop class wraps a single loop for the public
+operations.
 """
 
 import numpy as np
@@ -25,11 +31,16 @@ class TruncationOverflowError(ValueError):
 
 
 class SingularSeriesError(ValueError):
-    """Scalar series has no invertible degree-zero coefficient."""
+    """Scalar series has no invertible degree-zero coefficient, or its
+    Neumann reciprocal does not converge."""
 
 
 class ParityError(ValueError):
     """Coefficients violate the twist parity pattern."""
+
+
+class RealFormError(ValueError):
+    """Coefficients leave the twisted SU(2) real form that packing assumes."""
 
 
 def sup_abs(arr):
@@ -53,32 +64,76 @@ def _check_window(window):
 # ---------------------------------------------------------------------------
 # batched coefficient kernels (leading axes free)
 
-def scalar_conv(a, b, amin, bmin, outmin, outlen):
-    """Laurent product of scalar coefficient blocks on a fixed output window."""
-    na, nb = a.shape[-1], b.shape[-1]
+def scalar_conv(a, b, amin, bmin, outmin, outlen, astep=1):
+    """Laurent product of scalar coefficient blocks on a fixed output window.
+
+    a[..., i] multiplies lambda^(amin + astep i), b[..., j] lambda^(bmin + j).
+    One batched multiply-add of a shifted slice of b per coefficient of a.
+    """
+    nb = b.shape[-1]
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (outlen,),
                    complex)
-    for d in range(outlen):
-        deg = outmin + d
-        for i in range(na):
-            j = deg - (amin + i) - bmin
-            if 0 <= j < nb:
-                out[..., d] += a[..., i] * b[..., j]
+    for i in range(a.shape[-1]):
+        shift = amin + astep * i + bmin - outmin      # output slot of b[..., 0]
+        lo, hi = max(0, -shift), min(nb, outlen - shift)
+        if lo < hi:
+            out[..., lo + shift:hi + shift] += a[..., i, None] * b[..., lo:hi]
     return out
 
 
 def mul_coeffs(A, B, amin, bmin, outmin, outlen):
-    """Matrix loop product on a fixed output window. A, B: (..., D, 2, 2)."""
-    out = np.zeros(np.broadcast_shapes(A.shape[:-3], B.shape[:-3])
-                   + (outlen, 2, 2), complex)
-    na, nb = A.shape[-3], B.shape[-3]
-    for d in range(outlen):
-        deg = outmin + d
-        for i in range(na):
-            j = deg - (amin + i) - bmin
-            if 0 <= j < nb:
-                out[..., d, :, :] += np.einsum("...ab,...bc->...ac",
-                                               A[..., i, :, :], B[..., j, :, :])
+    """Matrix loop product on a fixed output window. A, B: (..., D, 2, 2).
+
+    The 8 entry products A[r, k] B[k, c] ride on batch axes (r, k, c) of one
+    scalar_conv call, with the degree axis moved last.
+    """
+    A, B = np.moveaxis(A, -3, -1), np.moveaxis(B, -3, -1)
+    out = scalar_conv(A[..., :, :, None, :], B[..., None, :, :, :],
+                      amin, bmin, outmin, outlen)
+    return np.moveaxis(out.sum(axis=-3), -1, -3)
+
+
+def pack(C, kmin):
+    """Packed real form of (..., D, 2, 2) coefficients: one scalar per degree,
+    entry (0, 0) on even degrees and entry (0, 1) on odd degrees."""
+    odd = (kmin + np.arange(C.shape[-3])) % 2
+    return C[..., np.arange(C.shape[-3]), 0, odd]
+
+
+def unpack(p, kmin):
+    """Full (..., D, 2, 2) coefficients of a packed real-form loop."""
+    e, o = kmin % 2, (kmin + 1) % 2
+    C = np.zeros(p.shape + (2, 2), complex)
+    C[..., e::2, 0, 0] = p[..., e::2]
+    C[..., e::2, 1, 1] = p[..., e::2].conj()
+    C[..., o::2, 0, 1] = p[..., o::2]
+    C[..., o::2, 1, 0] = -p[..., o::2].conj()
+    return C
+
+
+def real_form_defect(C, kmin):
+    """Largest entry by which C misses the twisted real form (NaN if C has one)."""
+    return sup_abs(C - unpack(pack(C, kmin), kmin))
+
+
+def packed_mul(a, b, amin, bmin, outmin, outlen):
+    """Product of packed real-form loops on a fixed output window.
+
+    c = conv(a_even, b) + conv(a_odd, s conj(b)), with s = -1 on the odd
+    degrees of b: an odd-degree factor on the left conjugates what follows.
+    """
+    e, o = amin % 2, (amin + 1) % 2
+    sb = b.conj()
+    sb[..., (bmin + 1) % 2::2] *= -1
+    return (scalar_conv(a[..., e::2], b, amin + e, bmin, outmin, outlen, 2)
+            + scalar_conv(a[..., o::2], sb, amin + o, bmin, outmin, outlen, 2))
+
+
+def packed_adjugate(p, kmin):
+    """Adjugate of a packed loop: conjugate on even degrees, negate on odd."""
+    out = p.conj()
+    o = (kmin + 1) % 2
+    out[..., o::2] = -p[..., o::2]
     return out
 
 
@@ -105,7 +160,8 @@ def recip_coeffs(d, dmin, outmin, outlen, pivot_tol=1e-12, max_terms=80):
     Writes d = d0 (1 - e) with e carrying no degree-0 part, then accumulates
     (1/d0) sum_j e^j on the requested window. Terms outside the window are
     dropped; the error this introduces is of the same order as the window
-    truncation already accepted everywhere else.
+    truncation already accepted everywhere else. A sum whose terms have not
+    fallen below 1e-18 after max_terms raises SingularSeriesError.
     """
     i0 = -dmin
     if not 0 <= i0 < d.shape[-1]:
@@ -126,21 +182,11 @@ def recip_coeffs(d, dmin, outmin, outlen, pivot_tol=1e-12, max_terms=80):
         if np.abs(term).max() < 1e-18:
             break
         r += term
+    else:
+        raise SingularSeriesError(
+            f"Neumann series not converged after {max_terms} terms: largest "
+            f"term {np.abs(term).max():.3e}")
     return r / d0[..., None]
-
-
-def mat_scalar_conv(C, s, cmin, smin, outmin, outlen):
-    """Matrix loop times scalar series on a fixed output window."""
-    out = np.zeros(np.broadcast_shapes(C.shape[:-3], s.shape[:-1])
-                   + (outlen, 2, 2), complex)
-    nc, ns = C.shape[-3], s.shape[-1]
-    for d in range(outlen):
-        deg = outmin + d
-        for i in range(nc):
-            j = deg - (cmin + i) - smin
-            if 0 <= j < ns:
-                out[..., d, :, :] += C[..., i, :, :] * s[..., j][..., None, None]
-    return out
 
 
 def inverse_coeffs(C, kmin, outmin, outlen):
@@ -152,8 +198,10 @@ def inverse_coeffs(C, kmin, outmin, outlen):
     rmin = min(outmin - kmax, 0)
     rmax = max(outmin + outlen - 1 - kmin, 0)
     recip = recip_coeffs(det, dmin, rmin, rmax - rmin + 1)
-    adj = adjugate_coeffs(C)
-    return mat_scalar_conv(adj, recip, kmin, rmin, outmin, outlen)
+    # the four entries of adj times recip, on batch axes of one kernel call
+    out = scalar_conv(np.moveaxis(adjugate_coeffs(C), -3, -1),
+                      recip[..., None, None, :], kmin, rmin, outmin, outlen)
+    return np.moveaxis(out, -1, -3)
 
 
 def eval_coeffs(C, kmin, lam):
@@ -163,40 +211,21 @@ def eval_coeffs(C, kmin, lam):
     return np.einsum("...dab,d->...ab", C, w.astype(complex))
 
 
+def _parity_zeros(kmin, n):
+    """(n, 2, 2) mask of the entries the twist parity forces to zero."""
+    odd = (kmin + np.arange(n)) % 2 == 1
+    return np.eye(2, dtype=bool) == odd[:, None, None]
+
+
 def parity_violation(C, kmin):
     """Largest entry sitting on a structural zero of the twist pattern."""
-    worst = 0.0
-    for i in range(C.shape[-3]):
-        deg = kmin + i
-        if deg % 2 == 0:
-            worst = max(worst, sup_abs(C[..., i, 0, 1]), sup_abs(C[..., i, 1, 0]))
-        else:
-            worst = max(worst, sup_abs(C[..., i, 0, 0]), sup_abs(C[..., i, 1, 1]))
-    return worst
-
-
-def parity_project(C, kmin):
-    """Zero out the structural-zero entries in place; returns C."""
-    for i in range(C.shape[-3]):
-        deg = kmin + i
-        if deg % 2 == 0:
-            C[..., i, 0, 1] = 0.0
-            C[..., i, 1, 0] = 0.0
-        else:
-            C[..., i, 0, 0] = 0.0
-            C[..., i, 1, 1] = 0.0
-    return C
+    return sup_abs(C[..., _parity_zeros(kmin, C.shape[-3])])
 
 
 def mat_inv2(M):
     """Pointwise inverse of 2x2 matrices, batched."""
     det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 1, 1] = M[..., 0, 0]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
-    return out / det[..., None, None]
+    return adjugate_coeffs(M) / det[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +276,7 @@ class TwistedLoop:
         viol = parity_violation(self.coeffs, self.k_min)
         if viol > parity_tol:
             raise ParityError(f"parity violation {viol:.3e} > {parity_tol:g}")
-        parity_project(self.coeffs, self.k_min)
+        self.coeffs[_parity_zeros(self.k_min, len(self.coeffs))] = 0.0
 
     @property
     def k_max(self):

@@ -60,6 +60,8 @@ class PotentialSpec:
         if self.alpha_samples.shape != self.xs.shape \
                 or self.beta_samples.shape != self.xs.shape:
             raise ValueError("sample arrays must match the lattice")
+        if not np.isfinite([self.alpha_samples, self.beta_samples]).all():
+            raise ValueError("potential samples must be finite")
         self.interpolation = interpolation
         self._alpha_fn = alpha_fn
         self._beta_fn = beta_fn

@@ -10,7 +10,6 @@ produced the surface.
 """
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .analysis import d_x, d_y
 from .loops import sup_abs
@@ -73,6 +72,7 @@ def _metric_rows(S):
 
 
 def _resample(x, y, field, xs, ys):
+    from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
     comps = [RectBivariateSpline(x, y, field[..., k])(xs, ys) for k in
              range(field.shape[-1])]
     return np.stack(comps, axis=-1)
@@ -193,6 +193,7 @@ class _SplineVec:
     """Componentwise bivariate spline evaluation of a vector field."""
 
     def __init__(self, x, y, field):
+        from scipy.interpolate import RectBivariateSpline
         self.splines = [RectBivariateSpline(x, y, field[..., k])
                         for k in range(field.shape[-1])]
 

@@ -1,10 +1,16 @@
 """Command line driver, exercised in process through main(argv)."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psfront
 import psfront.cli as cli
 
 
@@ -215,3 +221,33 @@ def test_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "vacuum_lam1_n9.obj").exists()
     assert cli.main(["generate", "--config", str(cfg), "--grid", "17"]) == 0
     assert (tmp_path / "vacuum_lam1_n17.obj").exists()
+
+
+# -- import cost and the benchmark tracer ------------------------------------
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    src = os.path.dirname(os.path.dirname(psfront.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, psfront.cli; print('scipy.interpolate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
+    # the tracer wraps module attributes by name; a missing one raises
+    # AttributeError in install
+    monkeypatch.setattr(sys, "path", list(sys.path))  # traced.py prepends src
+    path = Path(__file__).resolve().parents[1] / "psbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("psbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    tracer = traced.Tracer()
+    traced.install(tracer)
+    saved = [(owner, attr, orig) for owner, attr, orig in tracer._restore]
+    assert saved
+    tracer.unwrap()
+    for owner, attr, orig in saved:
+        assert getattr(owner, attr) is orig

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 import psfront as pf
-from psfront import loops
+from psfront import frames, loops
 from psfront.frames import (ConnectionShapeError, GridError, SplitError,
                             truncation_tail)
-from psfront.loops import TwistedLoop
+from psfront.loops import RealFormError, TwistedLoop
 
 
 def random_twisted(rng, k_min, k_max, scale, diag_anchor=None):
@@ -230,6 +230,42 @@ def test_validation_tolerance_can_force_failure():
     um = pf.integrate_half_frame(spec, "y", x)
     with pytest.raises(SplitError):
         pf.build_frame_field(up, um, consistency_tol=1e-30)
+
+
+def small_families(n=17, n_trunc=16):
+    spec = pf.preset_pseudosphere()
+    x = np.linspace(-2, 2, n)
+    return (pf.integrate_half_frame(spec, "x", x, n_trunc=n_trunc),
+            pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
+
+
+@pytest.mark.parametrize("axis, index, value", [
+    ("x", (3, 2, 1, 1), 1e-6),          # (1,1) not conj of (0,0)
+    ("y", (5, 2, 0, 1), 1e-6),          # off-diagonal entry at even degree
+    ("y", (4, 7, 1, 0), np.nan),
+])
+def test_family_off_real_form_rejected(axis, index, value):
+    up, um = small_families()
+    fam = up if axis == "x" else um
+    fam.coeffs[index] += value
+    with pytest.raises(RealFormError, match=f"{axis}-axis half-frame family"):
+        pf.build_frame_field(up, um)
+
+
+def test_nan_in_built_field_fails_the_gates():
+    up, um = small_families()
+    field = pf.build_frame_field(up, um)
+    field.consistency[2, 3] = np.nan
+    with pytest.raises(SplitError, match="consistency"):
+        frames._validate_field(field, 1e-8, 1e-8)
+    field.consistency[2, 3] = 0.0
+    field.unitarity[1.0] = np.nan
+    with pytest.raises(SplitError, match="unitarity"):
+        frames._validate_field(field, 1e-8, 1e-8)
+    pf.extract_connection(field)                   # clean Uhat passes
+    field.Uhat[6, 5, field.n_trunc, 0, 0] = np.nan
+    with pytest.raises(ConnectionShapeError, match="nan"):
+        pf.extract_connection(field)
 
 
 # -- connection extraction ---------------------------------------------------

@@ -70,6 +70,39 @@ def test_product_coefficients_match_brute_force(amin, alen, bmin, blen,
     assert loops.sup_abs(got - want) < 1e-13 * max(1.0, loops.sup_abs(want))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-6, 0), st.integers(0, 5), st.integers(-6, 0),
+       st.integers(0, 5), st.integers(-10, 0), st.integers(0, 12),
+       st.integers(0, 2 ** 31 - 1))
+def test_packed_product_matches_full_product(amin, alen, bmin, blen,
+                                             outmin, outlen, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, alen + 1)) + 1j * rng.normal(size=(3, alen + 1))
+    b = rng.normal(size=(3, blen + 1)) + 1j * rng.normal(size=(3, blen + 1))
+    A, B = loops.unpack(a, amin), loops.unpack(b, bmin)
+    assert np.array_equal(loops.pack(A, amin), a)
+    assert np.array_equal(loops.unpack(loops.pack(A, amin), amin), A)
+    assert loops.real_form_defect(A, amin) == 0.0
+    want = loops.mul_coeffs(A, B, amin, bmin, outmin, outlen + 1)
+    got = loops.unpack(loops.packed_mul(a, b, amin, bmin, outmin, outlen + 1),
+                       outmin)
+    assert loops.sup_abs(got - want) < 1e-13 * max(1.0, loops.sup_abs(want))
+    adj = loops.unpack(loops.packed_adjugate(a, amin), amin)
+    assert np.array_equal(adj, loops.adjugate_coeffs(A))
+
+
+def test_real_form_defect_sees_parity_and_conjugation():
+    C = loops.unpack(np.array([1.0 + 0.5j, 0.3 - 0.2j]), 0)
+    assert loops.real_form_defect(C, 0) == 0.0
+    C[0, 1, 1] += 1e-6                  # (1,1) no longer conj of (0,0)
+    assert loops.real_form_defect(C, 0) == pytest.approx(1e-6)
+    C[0, 1, 1] -= 1e-6
+    C[1, 0, 0] = 2e-6                   # diagonal entry at odd degree
+    assert loops.real_form_defect(C, 0) == pytest.approx(2e-6)
+    C[1, 0, 0] = np.nan
+    assert math.isnan(loops.real_form_defect(C, 0))
+
+
 def test_product_parity_is_closed():
     rng = np.random.default_rng(5)
     a = random_twisted(rng, -2, 2, 0.7)
@@ -119,6 +152,12 @@ def test_scalar_reciprocal_random_residual():
     prod = loops.scalar_conv(d.coeffs, r.coeffs, d.k_min, r.k_min, -5, 11)
     prod[5] -= 1.0
     assert np.abs(prod).max() < 1e-12
+
+
+def test_scalar_reciprocal_divergent_neumann_sum_raises():
+    d = ScalarLaurent(-1, np.array([0.9, 1.0, 0.9]))  # |e| = 1.8 on |lam| = 1
+    with pytest.raises(SingularSeriesError, match="not converged"):
+        pf.scalar_reciprocal(d, (-8, 8))
 
 
 def test_scalar_reciprocal_requires_pivot():

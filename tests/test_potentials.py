@@ -143,3 +143,12 @@ def test_json_mixed_sides():
 def test_json_missing_side():
     with pytest.raises(ValueError):
         pf.from_json({"alpha": {"preset": "vacuum"}})
+
+
+def test_non_finite_samples_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        PotentialSpec.from_samples([[-4, 0], [0, np.nan], [4, 0]],
+                                   [[-4, 0], [4, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        PotentialSpec.from_functions(lambda x: np.where(x > 1, np.inf, x),
+                                     np.zeros_like)
