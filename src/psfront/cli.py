@@ -1,17 +1,19 @@
 """Command line driver: generate surfaces, verify invariants, export meshes.
 
-Subcommands: generate (run the pipeline and write meshes plus a frame cache),
-verify (residuals of every checked identity against tolerances, JSON summary,
-exit 0 iff all pass), export (OBJ, PLY or CSV, plus coordinate-curve polylines
-and frame glyphs), sweep (several evaluation points from one frame build) and
-oracle-sg (the direct sine-Gordon solver on preset boundary data).
+Subcommands: generate (run the pipeline and write meshes), verify (residuals
+of every checked identity against tolerances, JSON summary, exit 0 iff all
+pass), export (OBJ, PLY or CSV, plus coordinate-curve polylines and frame
+glyphs), sweep (several evaluation points from one frame build) and oracle-sg
+(the direct sine-Gordon solver on preset boundary data).
 
 All floats are written with 17 significant digits so identical configurations
-produce byte-identical files. Heavy imports happen after the thread override
-so PSFRONT_THREADS can cap the BLAS pool.
+produce byte-identical files; the writers format one grid row per "%" and
+build the quad face block once per grid shape. Heavy imports happen after the
+thread override so PSFRONT_THREADS can cap the BLAS pool.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -188,8 +190,22 @@ def _omega(conn):
 # ---------------------------------------------------------------------------
 # writers
 
-def _fmt(v):
-    return FMT % v
+def _write_rows(fh, rows, prefix="", sep=" "):
+    """Write an (R, L, K) array as R*L lines of K floats, one "%" per row."""
+    template = (prefix + sep.join([FMT] * rows.shape[2]) + "\n") * rows.shape[1]
+    for row in rows:
+        fh.write(template % tuple(row.ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _quad_faces(nx, ny, prefix, base):
+    """Quad lines (i,j) (i+1,j) (i+1,j+1) (i,j+1) from index base, per row."""
+    import numpy as np
+    a = np.arange(base, base + ny - 1)
+    quad = np.stack([a, a + ny, a + ny + 1, a + 1], axis=-1).ravel()
+    template = (prefix + "%d %d %d %d\n") * (ny - 1)
+    return tuple(template % tuple((quad + i * ny).tolist())
+                 for i in range(nx - 1))
 
 
 def write_obj(path, f, curves_stride=None):
@@ -202,15 +218,9 @@ def write_obj(path, f, curves_stride=None):
     """
     nx, ny = f.shape[:2]
     with open(path, "w", newline="\n") as fh:
-        for i in range(nx):
-            for j in range(ny):
-                p = f[i, j]
-                fh.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        _write_rows(fh, f, prefix="v ")
         if curves_stride is None:
-            for i in range(nx - 1):
-                for j in range(ny - 1):
-                    a = i * ny + j + 1
-                    fh.write(f"f {a} {a + ny} {a + ny + 1} {a + 1}\n")
+            fh.writelines(_quad_faces(nx, ny, "f ", 1))
         else:
             for i in range(0, nx, curves_stride):
                 idx = [str(i * ny + j + 1) for j in range(ny)]
@@ -230,14 +240,8 @@ def write_ply(path, f):
         fh.write("property double x\nproperty double y\nproperty double z\n")
         fh.write(f"element face {nquad}\n")
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for i in range(nx):
-            for j in range(ny):
-                p = f[i, j]
-                fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                a = i * ny + j
-                fh.write(f"4 {a} {a + ny} {a + ny + 1} {a + 1}\n")
+        _write_rows(fh, f)
+        fh.writelines(_quad_faces(nx, ny, "4 ", 0))
 
 
 def read_ply(path):
@@ -274,10 +278,10 @@ def read_ply(path):
 
 def write_csv(path, header, columns):
     """Per-node CSV; columns is a list of flat arrays in header order."""
+    import numpy as np
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, np.column_stack(columns)[:, None, :], sep=",")
 
 
 def write_frame_glyphs(path, S, omega_field):
@@ -338,7 +342,6 @@ def _checks_for(field, conn, S, lam, zcc_sup):
 
 
 def cmd_generate(args):
-    import numpy as np
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
@@ -356,11 +359,6 @@ def cmd_generate(args):
         else:
             write_obj(path, S.f)
         print(f"wrote {path}")
-    cache = os.path.join(cfg.out, f"{cfg.name}_n{cfg.grid}_frame.npz")
-    np.savez_compressed(cache, x=field.x, y=field.y, Uhat=field.Uhat,
-                        n_trunc=field.n_trunc, phihat=conn.phihat, r=conn.r,
-                        alpha=conn.alpha, beta=conn.beta)
-    print(f"wrote {cache}")
     return 0
 
 
@@ -529,7 +527,7 @@ def build_parser():
     common.add_argument("--out", metavar="DIR", help="output directory")
 
     p = sub.add_parser("generate", parents=[common],
-                       help="run the pipeline, write meshes and a frame cache")
+                       help="run the pipeline and write meshes")
     p.add_argument("--format", choices=("obj", "ply"), default="obj")
     p.set_defaults(func=cmd_generate)
 

@@ -21,9 +21,11 @@ import numpy as np
 
 from . import loops
 from .analysis import d_x, d_y
+# eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
 from .loops import (DEFAULT_TRUNC, I2, RealFormError, TwistedLoop, eval_coeffs,
                     inverse_coeffs, mul_coeffs, pack, packed_adjugate,
-                    packed_mul, real_form_defect, sup_abs, unpack)
+                    packed_mul, real_form_defect, sup_abs, unitarity_residual,
+                    unpack)
 from .potentials import eta_minus, eta_plus
 
 REAL_FORM_TOL = 1e-12               # packing is exact only on real-form input
@@ -297,14 +299,6 @@ def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
         {lam: unitarity_residual(Uhat, -N, lam) for lam in (0.5, 1.0, 2.0)})
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
-
-
-def unitarity_residual(C, kmin, lam):
-    """max(|U U^H - I|, |det U - 1|) over all loops C evaluated at lam."""
-    Ue = eval_coeffs(C, kmin, lam)
-    un = sup_abs(np.einsum("...ab,...cb->...ac", Ue, Ue.conj()) - I2)
-    det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
-    return max(un, sup_abs(det - 1.0))
 
 
 def _validate_field(field, consistency_tol, unitarity_tol):

@@ -211,6 +211,14 @@ def eval_coeffs(C, kmin, lam):
     return np.einsum("...dab,d->...ab", C, w.astype(complex))
 
 
+def unitarity_residual(C, kmin, lam):
+    """max(|U U^H - I|, |det U - 1|) over all loops C evaluated at lam."""
+    Ue = eval_coeffs(C, kmin, lam)
+    un = sup_abs(np.einsum("...ab,...cb->...ac", Ue, Ue.conj()) - I2)
+    det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
+    return max(un, sup_abs(det - 1.0))
+
+
 def _parity_zeros(kmin, n):
     """(n, 2, 2) mask of the entries the twist parity forces to zero."""
     odd = (kmin + np.arange(n)) % 2 == 1
@@ -355,14 +363,6 @@ def loop_eval(a, lam0):
 
 
 def unitarity_check(a, lam_samples):
-    """Worst unitarity and determinant defect over the sample points.
-
-    Returns max over lambda of max(||U U^H - I||, |det U - 1|), with U the
-    loop evaluated at lambda.
-    """
-    worst = 0.0
-    for lam in lam_samples:
-        U = loop_eval(a, lam)
-        worst = max(worst, sup_abs(U @ U.conj().T - I2))
-        worst = max(worst, abs(np.linalg.det(U) - 1.0))
-    return worst
+    """Worst unitarity_residual of one loop over the sample points."""
+    return max((unitarity_residual(a.coeffs, a.k_min, lam)
+                for lam in lam_samples), default=0.0)

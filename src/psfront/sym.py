@@ -7,6 +7,10 @@ produces its unit normal. Tangent vectors come from conjugating the connection
 coefficients, which keeps the first fundamental form exact instead of
 finite-difference accurate.
 
+U_hat(lambda0), its t-derivative and its inverse are evaluated once per point;
+all six fields are conjugated by that one pair, one field at a time, with 2x2
+products written out entry by entry.
+
 The su(2) to R^3 identification uses the orthonormal basis
 
     e1 = (1/2)[[0, i], [i, 0]]   e2 = (1/2)[[0, -1], [1, 0]]   e3 = (1/2)[[i, 0], [0, -i]]
@@ -40,11 +44,6 @@ def su2_to_r3(X, tol=1e-8):
     u2 = np.real(X[..., 1, 0] - X[..., 0, 1])
     u3 = np.imag(X[..., 0, 0] - X[..., 1, 1])
     return np.stack([u1, u2, u3], axis=-1)
-
-
-def su2_inner(A, B):
-    """Inner product <A, B> = -2 tr(A B) on su(2), batched."""
-    return -2.0 * np.real(np.einsum("...ab,...ba->...", A, B))
 
 
 class SurfaceGrid:
@@ -89,46 +88,68 @@ def _structure_tol(field, lam0):
     return max(1e-8, 50.0 * truncation_tail(field.n_trunc, reach, amp))
 
 
+def _mul2(A, B):
+    """Batched 2x2 matrix product written entry by entry; shapes broadcast."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), complex)
+    for r in range(2):
+        for c in range(2):
+            out[..., r, c] = (A[..., r, 0] * B[..., 0, c]
+                              + A[..., r, 1] * B[..., 1, c])
+    return out
+
+
+def _frame_at(field, lam0, structure_tol):
+    """U_hat(lam0), its pointwise inverse and the structure tolerance."""
+    if structure_tol is None:
+        structure_tol = _structure_tol(field, lam0)
+    Ue = eval_coeffs(field.Uhat, -field.n_trunc, lam0)
+    return Ue, mat_inv2(Ue), structure_tol
+
+
+def _ad(Ue, Ui, tol, W):
+    """R^3 coordinates of U_hat W U_hat^{-1}, structure-checked."""
+    return su2_to_r3(_mul2(_mul2(Ue, W), Ui), tol=tol)
+
+
 def sym_immersion(field, lam0, conn=None, structure_tol=None):
     """Surface and unit normal at evaluation point lam0 > 0.
 
     The immersion is f = U_hat_t U_hat^{-1} with the t-derivative taken along
     lambda = e^t, i.e. degree k scaled by k lam0^k; the normal conjugates e3.
     With a connection given, exact tangent and normal-derivative fields are
-    attached to the returned SurfaceGrid.
+    attached to the returned SurfaceGrid. U_hat(lam0) and its inverse are
+    evaluated once and shared by every conjugated field.
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
-    if structure_tol is None:
-        structure_tol = _structure_tol(field, lam0)
+    frame = _frame_at(field, lam0, structure_tol)
+    _, Ui, tol = frame
     N = field.n_trunc
     degs = np.arange(-N, N + 1)
-    C = field.Uhat
-    Ue = eval_coeffs(C, -N, lam0)
-    Ut = np.einsum("xydab,d->xyab",
-                   C, (degs * lam0 ** degs.astype(float)).astype(complex))
-    Ui = mat_inv2(Ue)
-    f = su2_to_r3(np.einsum("xyab,xybc->xyac", Ut, Ui), tol=structure_tol)
-    Nrm = su2_to_r3(np.einsum("xyab,bc,xycd->xyad", Ue, E3, Ui),
-                    tol=structure_tol)
+    Ut = np.einsum("xydab,d->xyab", field.Uhat,
+                   (degs * lam0 ** degs.astype(float)).astype(complex))
+    f = su2_to_r3(_mul2(Ut, Ui), tol=tol)
+    Nrm = _ad(*frame, E3)
     nrm = np.linalg.norm(Nrm, axis=-1, keepdims=True)
-    if sup_abs(nrm - 1.0) > max(1e-8, structure_tol):
+    if sup_abs(nrm - 1.0) > max(1e-8, tol):
         raise StructureError(f"normal norm defect {sup_abs(nrm - 1.0):.3e}")
     S = SurfaceGrid(field.x, field.y, lam0, f, Nrm / nrm, conn=conn)
     if conn is not None:
-        S.fx, S.fy = analytic_tangents(field, conn, lam0,
-                                       structure_tol=structure_tol)
-        S.Nx, S.Ny = analytic_normal_derivatives(field, conn, lam0,
-                                                 structure_tol=structure_tol)
+        S.fx, S.fy = _tangents(frame, conn, lam0)
+        S.Nx, S.Ny = _normal_derivatives(frame, conn, lam0)
     return S
 
 
-def _conjugate(field, lam0, W, structure_tol):
-    N = field.n_trunc
-    Ue = eval_coeffs(field.Uhat, -N, lam0)
-    Ui = mat_inv2(Ue)
-    return su2_to_r3(np.einsum("xyab,xybc,xycd->xyad", Ue, W, Ui),
-                     tol=structure_tol)
+def _tangents(frame, conn, lam0):
+    return (_ad(*frame, lam0 * conn.omega1_c1),
+            _ad(*frame, -conn.omega2_cm1 / lam0))
+
+
+def _normal_derivatives(frame, conn, lam0):
+    w1 = conn.omega1_c0 + lam0 * conn.omega1_c1
+    w2 = conn.omega2_cm1 / lam0
+    return (_ad(*frame, _mul2(w1, E3) - _mul2(E3, w1)),
+            _ad(*frame, _mul2(w2, E3) - _mul2(E3, w2)))
 
 
 def analytic_tangents(field, conn, lam0, structure_tol=None):
@@ -140,23 +161,10 @@ def analytic_tangents(field, conn, lam0, structure_tol=None):
     y tangent is the sign-flipped degree -1 part. Norms are exactly lam0 and
     1/lam0.
     """
-    if structure_tol is None:
-        structure_tol = _structure_tol(field, lam0)
-    w1t = lam0 * conn.omega1_c1
-    w2t = -conn.omega2_cm1 / lam0
-    fx = _conjugate(field, lam0, w1t, structure_tol)
-    fy = _conjugate(field, lam0, w2t, structure_tol)
-    return fx, fy
+    return _tangents(_frame_at(field, lam0, structure_tol), conn, lam0)
 
 
 def analytic_normal_derivatives(field, conn, lam0, structure_tol=None):
     """Exact normal derivatives by conjugating connection commutators with e3."""
-    if structure_tol is None:
-        structure_tol = _structure_tol(field, lam0)
-    w1 = conn.omega1_c0 + lam0 * conn.omega1_c1
-    w2 = conn.omega2_cm1 / lam0
-    c1 = np.einsum("xyab,bc->xyac", w1, E3) - np.einsum("ab,xybc->xyac", E3, w1)
-    c2 = np.einsum("xyab,bc->xyac", w2, E3) - np.einsum("ab,xybc->xyac", E3, w2)
-    Nx = _conjugate(field, lam0, c1, structure_tol)
-    Ny = _conjugate(field, lam0, c2, structure_tol)
-    return Nx, Ny
+    return _normal_derivatives(_frame_at(field, lam0, structure_tol), conn,
+                               lam0)

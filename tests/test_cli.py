@@ -20,7 +20,7 @@ def read_lines(path):
 
 # -- generate ----------------------------------------------------------------
 
-def test_generate_writes_quad_mesh_and_cache(tmp_path, capsys):
+def test_generate_writes_quad_mesh_and_no_frame_cache(tmp_path, capsys):
     rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "33",
                    "--out", str(tmp_path)])
     assert rc == 0
@@ -30,10 +30,7 @@ def test_generate_writes_quad_mesh_and_cache(tmp_path, capsys):
     assert len(verts) == 33 * 33
     assert len(faces) == 32 * 32
     assert faces[0] == "f 1 34 35 2"
-    cache = np.load(tmp_path / "pseudosphere_n33_frame.npz")
-    assert int(cache["n_trunc"]) == 16
-    assert cache["Uhat"].shape == (33, 33, 33, 2, 2)
-    assert cache["phihat"].shape == (33, 33)
+    assert not list(tmp_path.glob("*.npz"))
     assert "wrote" in capsys.readouterr().out
 
 
@@ -135,14 +132,75 @@ def test_export_coordinate_curves(tmp_path):
 
 
 def test_ply_writer_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=(4, 3, 3))
+    f = awkward_mesh(4, 3)              # nan, inf, -0.0, 1e300, subnormal
     path = tmp_path / "mesh.ply"
     cli.write_ply(path, f)
     verts, faces = cli.read_ply(path)
-    assert np.array_equal(verts, f.reshape(-1, 3))
+    np.testing.assert_array_equal(verts, f.reshape(-1, 3))
+    assert np.array_equal(np.signbit(verts), np.signbit(f.reshape(-1, 3)))
     assert len(faces) == 6
     assert faces[0] == [0, 3, 4, 1]
+
+
+# -- writers against a per-line reference ----------------------------------
+
+def ref_vertices(f, prefix):
+    return "".join(prefix + " ".join("%.17g" % v for v in f[i, j]) + "\n"
+                   for i in range(f.shape[0]) for j in range(f.shape[1]))
+
+
+def ref_faces(nx, ny, prefix, base):
+    return "".join(f"{prefix}{a} {a + ny} {a + ny + 1} {a + 1}\n"
+                   for i in range(nx - 1) for j in range(ny - 1)
+                   for a in [i * ny + j + base])
+
+
+def ref_obj(f, curves_stride=None):
+    nx, ny = f.shape[:2]
+    text = ref_vertices(f, "v ")
+    if curves_stride is None:
+        return text + ref_faces(nx, ny, "f ", 1)
+    for i in range(0, nx, curves_stride):
+        text += "l " + " ".join(str(i * ny + j + 1) for j in range(ny)) + "\n"
+    for j in range(0, ny, curves_stride):
+        text += "l " + " ".join(str(i * ny + j + 1) for i in range(nx)) + "\n"
+    return text
+
+
+def ref_ply(f):
+    nx, ny = f.shape[:2]
+    return ("ply\nformat ascii 1.0\n"
+            f"element vertex {nx * ny}\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            f"element face {(nx - 1) * (ny - 1)}\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            + ref_vertices(f, "") + ref_faces(nx, ny, "4 ", 0))
+
+
+def awkward_mesh(nx, ny):
+    rng = np.random.default_rng(nx * 100 + ny)
+    scale = 10.0 ** rng.integers(-20, 20, (nx, ny, 3))
+    f = rng.normal(size=(nx, ny, 3)) * scale
+    f.flat[:7] = [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e-300, 5e-324]
+    return f
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 5), (5, 7), (2, 2), (1, 4)])
+def test_writers_match_per_line_reference(tmp_path, nx, ny):
+    f = awkward_mesh(nx, ny)
+    for _ in range(2):                  # the face block is cached per shape
+        cli.write_obj(tmp_path / "m.obj", f)
+        assert (tmp_path / "m.obj").read_bytes() == ref_obj(f).encode()
+    for stride in (1, 2, 3):
+        cli.write_obj(tmp_path / "c.obj", f, curves_stride=stride)
+        assert (tmp_path / "c.obj").read_bytes() == ref_obj(f, stride).encode()
+    cli.write_ply(tmp_path / "m.ply", f)
+    assert (tmp_path / "m.ply").read_bytes() == ref_ply(f).encode()
+    cols = [f[..., k].ravel() for k in range(3)] + [np.arange(nx * ny)]
+    cli.write_csv(tmp_path / "m.csv", ["a", "b", "c", "k"], cols)
+    want = "a,b,c,k\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                 for row in zip(*cols))
+    assert (tmp_path / "m.csv").read_bytes() == want.encode()
 
 
 # -- sweep and oracle --------------------------------------------------------

@@ -248,6 +248,12 @@ def test_scaled_identity_is_flagged():
     assert pf.unitarity_check(a, (1.0,)) >= 0.21 - 1e-12
 
 
+def test_one_unitarity_residual_serves_loops_and_frames():
+    from psfront import frames
+    assert frames.unitarity_residual is loops.unitarity_residual
+    assert pf.unitarity_check(exp_loop(1.0), ()) == 0.0
+
+
 # -- structure validation ----------------------------------------------------
 
 def test_parity_violation_raises():

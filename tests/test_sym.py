@@ -1,9 +1,12 @@
 """Immersion and normal from the frame family, su(2) conversions, tangents."""
 
+import copy
+
 import numpy as np
 import pytest
 
 import psfront as pf
+from psfront import loops, sym
 from psfront.sym import E1, E2, E3, StructureError
 
 
@@ -103,3 +106,72 @@ def test_surface_grid_carries_metadata(ps_run):
     assert S.conn is ps_run.conn
     assert S.f.shape == (129, 129, 3)
     assert np.array_equal(S.x, ps_run.field.x)
+
+
+# -- one frame evaluation per lambda -----------------------------------------
+
+def reference_fields(field, conn, lam):
+    """f, N, fx, fy, Nx, Ny from 3-operand einsum conjugations."""
+    N = field.n_trunc
+    degs = np.arange(-N, N + 1)
+    w = lam ** degs.astype(float)
+    Ue = np.einsum("xydab,d->xyab", field.Uhat, w.astype(complex))
+    Ut = np.einsum("xydab,d->xyab", field.Uhat, (degs * w).astype(complex))
+    Ui = loops.mat_inv2(Ue)
+
+    def r3(X):                          # coordinates only; no structure gate
+        return pf.su2_to_r3(X, tol=np.inf)
+
+    def ad(W):
+        return r3(np.einsum("xyab,xybc,xycd->xyad", Ue, W, Ui))
+
+    def bracket_e3(W):
+        return (np.einsum("xyab,bc->xyac", W, E3)
+                - np.einsum("ab,xybc->xyac", E3, W))
+
+    f = r3(np.einsum("xyab,xybc->xyac", Ut, Ui))
+    nrm = r3(np.einsum("xyab,bc,xycd->xyad", Ue, E3, Ui))
+    nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+    fx = ad(lam * conn.omega1_c1)
+    fy = ad(-conn.omega2_cm1 / lam)
+    Nx = ad(bracket_e3(conn.omega1_c0 + lam * conn.omega1_c1))
+    Ny = ad(bracket_e3(conn.omega2_cm1 / lam))
+    return dict(f=f, N=nrm, fx=fx, fy=fy, Nx=Nx, Ny=Ny)
+
+
+def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
+    calls = []
+    orig = sym.eval_coeffs
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(sym, "eval_coeffs", counting)
+    for lam in (0.5, 2.0):
+        pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
+    assert calls == [0.5, 2.0]
+
+
+@pytest.mark.parametrize("run_name", ["ps_run", "kink_run"])
+def test_fields_match_einsum_reference(run_name, request):
+    run = request.getfixturevalue(run_name)
+    for lam, S in run.surfaces.items():
+        ref = reference_fields(run.field, run.conn, lam)
+        for name, want in ref.items():
+            err = np.abs(getattr(S, name) - want).max()
+            assert err <= 1e-13, (lam, name, err)
+        fx, fy = pf.analytic_tangents(run.field, run.conn, lam)
+        Nx, Ny = pf.analytic_normal_derivatives(run.field, run.conn, lam)
+        for got, name in ((fx, "fx"), (fy, "fy"), (Nx, "Nx"), (Ny, "Ny")):
+            assert np.array_equal(got, getattr(S, name)), (lam, name)
+
+
+def test_structure_checks_see_a_perturbed_frame(ps_run):
+    field = copy.copy(ps_run.field)
+    field.Uhat = ps_run.field.Uhat.copy()
+    field.Uhat[..., field.n_trunc, 0, 0] += 1e-3
+    with pytest.raises(StructureError):
+        pf.sym_immersion(field, 1.0, conn=ps_run.conn)
+    with pytest.raises(StructureError):
+        pf.analytic_tangents(field, ps_run.conn, 1.0)
