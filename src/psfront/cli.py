@@ -301,30 +301,11 @@ def write_frame_glyphs(path, S, omega_field):
 # ---------------------------------------------------------------------------
 # verification checks
 
-def _checks_for(field, conn, S, lam, zcc_sup):
-    """Ordered (name, residual) pairs for one evaluation point."""
+def _form_residuals(rep, lam, omega):
+    """(name, residual) of the seven fundamental-form checks, verify's order."""
     import numpy as np
-    from . import analysis, frames
-    rep = analysis.fundamental_forms(S)
-    omega = _omega(conn)
-    sin_om = np.sin(omega)
     regular = rep.regular
-    strong = np.abs(sin_om) > 0.3
-
-    def masked(res, mask):
-        vals = res[mask & np.isfinite(res)]
-        return float(np.abs(vals).max()) if vals.size else 0.0
-
-    if regular.any():
-        k_res = float(np.abs(rep.K[regular] + 1.0).max())
-    else:
-        k_res = 0.0
-    unit = frames.unitarity_residual(field.Uhat, -field.n_trunc, lam)
-    hx = float(S.x[1] - S.x[0])
-    hy = float(S.y[1] - S.y[0])
-    sg = analysis.sine_gordon_residual(omega, hx, hy)
-    harm, _ = analysis.harmonicity_residual(S, omega)
-    tau = analysis.asymptotic_torsion(S, "x")
+    k_res = float(np.abs(rep.K[regular] + 1.0).max()) if regular.any() else 0.0
     return [
         ("K+1 residual", k_res),
         ("first form E residual", float(np.abs(rep.E - lam ** 2).max())),
@@ -332,11 +313,34 @@ def _checks_for(field, conn, S, lam, zcc_sup):
         ("first form F residual", float(np.abs(rep.F - np.cos(omega)).max())),
         ("second form ell residual", float(np.abs(rep.ell).max())),
         ("second form n residual", float(np.abs(rep.n).max())),
-        ("second form m residual", float(np.abs(rep.m - sin_om).max())),
+        ("second form m residual", float(np.abs(rep.m - np.sin(omega)).max())),
+    ]
+
+
+def _checks_for(field, conn, S, lam, zcc_sup):
+    """Ordered (name, residual) pairs for one evaluation point."""
+    import numpy as np
+    from . import analysis, loops
+    rep = analysis.fundamental_forms(S)
+    omega = _omega(conn)
+    strong = np.abs(np.sin(omega)) > 0.3
+
+    def masked(res, mask):
+        vals = res[mask & np.isfinite(res)]
+        return float(np.abs(vals).max()) if vals.size else 0.0
+
+    unit = loops.unitarity_residual(
+        loops.packed_eval(field.Uhat, -field.n_trunc, lam)[0])
+    hx = float(S.x[1] - S.x[0])
+    hy = float(S.y[1] - S.y[0])
+    sg = analysis.sine_gordon_residual(omega, hx, hy)
+    harm, _ = analysis.harmonicity_residual(S, omega)
+    tau = analysis.asymptotic_torsion(S, "x")
+    return _form_residuals(rep, lam, omega) + [
         ("unitarity residual", unit),
         ("zero-curvature residual", zcc_sup),
         ("sine-Gordon residual", float(np.nanmax(np.abs(sg)))),
-        ("harmonicity residual", masked(harm, regular)),
+        ("harmonicity residual", masked(harm, rep.regular)),
         ("torsion deviation", masked(np.abs(tau) - 1.0, strong)),
     ], int(rep.regular_count)
 
@@ -445,7 +449,6 @@ def cmd_export(args):
 
 
 def cmd_sweep(args):
-    import numpy as np
     from . import analysis
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
@@ -455,17 +458,9 @@ def cmd_sweep(args):
     for lam in cfg.lambdas:
         S = _surface(field, conn, lam)
         rep = analysis.fundamental_forms(S)
-        regular = rep.regular
-        k_res = float(np.abs(rep.K[regular] + 1).max()) if regular.any() else 0.0
-        rows.append([lam,
-                     float(np.abs(rep.E - lam ** 2).max()),
-                     float(np.abs(rep.G - lam ** -2).max()),
-                     float(np.abs(rep.F - np.cos(omega)).max()),
-                     float(np.abs(rep.ell).max()),
-                     float(np.abs(rep.n).max()),
-                     float(np.abs(rep.m - np.sin(omega)).max()),
-                     k_res,
-                     float(rep.regular_count)])
+        (_, k_res), *forms = _form_residuals(rep, lam, omega)
+        rows.append([lam] + [res for _, res in forms]        # E..m, then K
+                    + [k_res, float(rep.regular_count)])
         if args.mesh:
             path = os.path.join(cfg.out,
                                 f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj")

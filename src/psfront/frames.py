@@ -3,12 +3,13 @@
 The build runs in three stages. integrate_half_frame solves the loop ODE along
 one axis by an iterated-integral ladder, giving a one-parameter family of
 nonnegative (x axis) or nonpositive (y axis) loops normalized to the identity
-at the origin. build_frame_field glues the two families: at every grid node it
-factors G = U_minus^{-1} U_plus into a nonnegative times a normalized
-nonpositive loop through a block-Toeplitz solve, and assembles the extended
-frame U_hat = U_plus L_minus. extract_connection then reads the two angle
-fields off the factors and cross-checks the result against finite differences
-of U_hat itself.
+at the origin. build_frame_field glues the two families on packed real-form
+loops (see loops), which is also the layout of the FrameField it returns: at
+every grid node it factors G = U_minus^{-1} U_plus into a nonnegative times a
+normalized nonpositive loop through a Toeplitz solve, and assembles the
+extended frame U_hat = U_plus L_minus. extract_connection then reads the two
+angle fields off the factors and cross-checks the result against finite
+differences of U_hat itself.
 
 The ladder truncated at degree k is the generating function of the implicit
 trapezoid one-step scheme, which is exactly unitary for real lambda; unitarity
@@ -22,10 +23,10 @@ import numpy as np
 from . import loops
 from .analysis import d_x, d_y
 # eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
-from .loops import (DEFAULT_TRUNC, I2, RealFormError, TwistedLoop, eval_coeffs,
+from .loops import (DEFAULT_TRUNC, RealFormError, TwistedLoop, eval_coeffs,
                     inverse_coeffs, mul_coeffs, pack, packed_adjugate,
-                    packed_mul, real_form_defect, sup_abs, unitarity_residual,
-                    unpack)
+                    packed_eval, packed_mul, real_form_defect, sup_abs,
+                    unitarity_residual, unpack)
 from .potentials import eta_minus, eta_plus
 
 REAL_FORM_TOL = 1e-12               # packing is exact only on real-form input
@@ -58,7 +59,7 @@ def ladder(A, h, i0, n_deg):
     """Iterated integrals U_0 = I, U_k = int_0 U_{k-1} A; shape (n, n_deg+1, 2, 2)."""
     n = A.shape[0]
     U = np.zeros((n, n_deg + 1, 2, 2), complex)
-    U[:, 0] = I2
+    U[:, 0] = np.eye(2)
     for k in range(1, n_deg + 1):
         U[:, k] = cumtrapz_origin(np.einsum("nab,nbc->nac", U[:, k - 1], A), h, i0)
     return U
@@ -206,8 +207,8 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
 class FrameField:
     """Extended frames and their factors on the full grid.
 
-    Arrays are indexed (ix, iy, degree, 2, 2) with ascending degrees;
-    U_hat spans -n_trunc..n_trunc, L_plus 0..n_trunc, L_minus -n_trunc..0.
+    Uhat, Lp and Lm are packed loops (loops.pack) indexed (ix, iy, degree),
+    ascending degrees: Uhat -n_trunc..n_trunc, Lp 0..n_trunc, Lm -n_trunc..0.
     split_residual and consistency are per-node sup norms.
     """
 
@@ -286,17 +287,16 @@ def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
     Lm = _split_negative(ge, go, N)
     Lm[:, o::2] = -Lm[:, o::2].conj()
     GL = packed_mul(G, Lm, -N, -N, -2 * N, 3 * N + 1)
-    Lp = GL[:, 2 * N:].reshape(nx, ny, N + 1)
+    Lp = GL[:, 2 * N:].reshape(nx, ny, N + 1).copy()   # GL itself is not kept
     split_res = np.abs(GL[:, :2 * N]).max(axis=1).reshape(nx, ny)
     Lm = Lm.reshape(nx, ny, N + 1)
     Uhat = packed_mul(Up, Lm, 0, -N, -N, 2 * N + 1)
     consistency = np.abs(
         Uhat - packed_mul(Um, Lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
-    Uhat = unpack(Uhat, -N)
     field = FrameField(
-        up.nodes, um.nodes, N, up.spec, Uhat, unpack(Lp, 0), unpack(Lm, -N),
-        split_res, consistency, parity_defect,
-        {lam: unitarity_residual(Uhat, -N, lam) for lam in (0.5, 1.0, 2.0)})
+        up.nodes, um.nodes, N, up.spec, Uhat, Lp, Lm, split_res, consistency,
+        parity_defect, {lam: unitarity_residual(packed_eval(Uhat, -N, lam)[0])
+                        for lam in (0.5, 1.0, 2.0)})
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
 
@@ -311,7 +311,7 @@ def _validate_field(field, consistency_tol, unitarity_tol):
             raise SplitError(f"unitarity residual {resid:.3e} at lambda={lam} "
                              f"exceeds {unitarity_tol:g}")
     origin = field.Uhat[field.i0x, field.i0y].copy()
-    origin[field.n_trunc] -= I2
+    origin[field.n_trunc] -= 1.0
     if not sup_abs(origin) <= 1e-12:
         raise SplitError("frame at the origin is not the identity")
 
@@ -362,12 +362,12 @@ def extract_connection(field, check_shape=True, shape_tol=None):
     x, y = field.x, field.y
     alpha = np.asarray(field.spec.alpha(x), float)
     beta = np.asarray(field.spec.beta(y), float)
-    Lp0 = field.Lp[:, :, 0]
-    ratio = Lp0[..., 1, 1] / Lp0[..., 0, 0]
+    Lp0 = field.Lp[..., 0]
+    ratio = Lp0.conj() / Lp0
     dphi = np.unwrap(np.angle(ratio), axis=0)
     dphi -= dphi[field.i0x:field.i0x + 1, :]
     phihat = beta[None, :] + dphi
-    ell_m1 = field.Lm[:, :, field.n_trunc - 1, 0, 1]
+    ell_m1 = field.Lm[..., field.n_trunc - 1]
     r = -2.0 * np.real(np.exp(1j * alpha)[:, None] * ell_m1)
     report = None
     if check_shape:
@@ -386,32 +386,26 @@ def _shape_check(field, alpha, beta, phihat, r, tol):
         # there from O(h^2) to O(h)
         tol = max(0.5 * h, 8.0 * h * h)
     N = field.n_trunc
-    U = pack(field.Uhat, -N)
+    U = field.Uhat
     Uinv = packed_adjugate(U, -N)            # det U_hat = 1 up to truncation tail
-    W1 = unpack(packed_mul(Uinv, d_x(U, hx), -N, -N, -3, 7), -3)
-    W2 = unpack(packed_mul(Uinv, d_y(U, hy), -N, -N, -3, 7), -3)
+    # packed on degrees -3..3: entry (0, 0) on even degrees, (0, 1) on odd
+    W1 = packed_mul(Uinv, d_x(U, hx), -N, -N, -3, 7)
+    W2 = packed_mul(Uinv, d_y(U, hy), -N, -N, -3, 7)
     defects = {}
     # off-pattern degrees
     defects["w1 degrees outside {0,1}"] = max(
         sup_abs(W1[:, :, [0, 1, 2]]), sup_abs(W1[:, :, [5, 6]]))
     defects["w2 degrees outside {-1}"] = max(
         sup_abs(W2[:, :, [0, 1]]), sup_abs(W2[:, :, [4, 5, 6]]))
-    # in-pattern structural zeros
-    defects["w1 degree-0 off-diagonal"] = max(
-        sup_abs(W1[:, :, 3, 0, 1]), sup_abs(W1[:, :, 3, 1, 0]))
-    defects["w1 degree-1 diagonal"] = max(
-        sup_abs(W1[:, :, 4, 0, 0]), sup_abs(W1[:, :, 4, 1, 1]))
-    defects["w2 degree -1 diagonal"] = max(
-        sup_abs(W2[:, :, 2, 0, 0]), sup_abs(W2[:, :, 2, 1, 1]))
     # field agreement
-    r_fd = np.real(-2j * W1[:, :, 3, 0, 0])
+    r_fd = np.real(-2j * W1[:, :, 3])
     defects["r vs FD"] = sup_abs(r_fd - r)
-    p_fd = -2.0 * W2[:, :, 2, 0, 1]          # = i e^{i phihat} + O(h^2)
+    p_fd = -2.0 * W2[:, :, 2]                # = i e^{i phihat} + O(h^2)
     phi_fd = np.unwrap(np.angle(p_fd / 1j), axis=0)
     phi_fd -= phi_fd[field.i0x:field.i0x + 1, :] - beta[None, :]
     defects["phihat vs FD"] = sup_abs(phi_fd - phihat)
     defects["w2 off-diagonal modulus vs 1/2"] = sup_abs(
-        np.abs(W2[:, :, 2, 0, 1]) - 0.5)
+        np.abs(W2[:, :, 2]) - 0.5)
     defects["r vs -d phihat/dx"] = sup_abs(d_x(phihat, hx) + r)
     worst = max(defects, key=lambda k: (math.isnan(defects[k]), defects[k]))
     if not defects[worst] <= tol:

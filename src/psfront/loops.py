@@ -8,7 +8,8 @@ structural zeros are enforced at construction time.
 
 Every loop the frame pipeline makes also lies in the SU(2) real form, with
 coefficients [[a, b], [-conj(b), conj(a)]]: with the twist parity that is one
-complex scalar per degree (pack / unpack), multiplied by packed_mul.
+complex scalar per degree, the frame field's layout; only this module turns
+it into 2x2 matrices (pack / unpack, packed_eval), multiplied by packed_mul.
 
 All products and inverses are window-truncated and reduce to one kernel,
 scalar_conv, a shift-add over the coefficients of its first factor, with
@@ -211,9 +212,21 @@ def eval_coeffs(C, kmin, lam):
     return np.einsum("...dab,d->...ab", C, w.astype(complex))
 
 
-def unitarity_residual(C, kmin, lam):
-    """max(|U U^H - I|, |det U - 1|) over all loops C evaluated at lam."""
-    Ue = eval_coeffs(C, kmin, lam)
+def packed_eval(p, kmin, lam):
+    """U(lam) and dU/dt along lambda = e^t (degree k scaled by k) of packed
+    real-form loops at a real lam, each (..., 2, 2), from one contraction."""
+    degs = kmin + np.arange(p.shape[-1])
+    w = float(lam) ** degs.astype(float)
+    even = degs % 2 == 0
+    W = np.stack([w * even, w * ~even, degs * w * even, degs * w * ~even], -1)
+    ab = (p @ W.astype(complex)).reshape(p.shape[:-1] + (2, 2))
+    a, b = np.moveaxis(ab, (-1, -2), (0, 1))     # (2, ...): value, derivative
+    U = np.stack([a, b, -b.conj(), a.conj()], -1).reshape(a.shape + (2, 2))
+    return U[0], U[1]
+
+
+def unitarity_residual(Ue):
+    """max(|U U^H - I|, |det U - 1|) over a batch of evaluated loops."""
     un = sup_abs(np.einsum("...ab,...cb->...ac", Ue, Ue.conj()) - I2)
     det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
     return max(un, sup_abs(det - 1.0))
@@ -282,7 +295,7 @@ class TwistedLoop:
             raise TruncationOverflowError(
                 f"degrees [{self.k_min}, {self.k_max}] exceed {MAX_DEGREE}")
         viol = parity_violation(self.coeffs, self.k_min)
-        if viol > parity_tol:
+        if not viol <= parity_tol:
             raise ParityError(f"parity violation {viol:.3e} > {parity_tol:g}")
         self.coeffs[_parity_zeros(self.k_min, len(self.coeffs))] = 0.0
 
@@ -364,5 +377,5 @@ def loop_eval(a, lam0):
 
 def unitarity_check(a, lam_samples):
     """Worst unitarity_residual of one loop over the sample points."""
-    return max((unitarity_residual(a.coeffs, a.k_min, lam)
+    return max((unitarity_residual(eval_coeffs(a.coeffs, a.k_min, lam))
                 for lam in lam_samples), default=0.0)

@@ -7,9 +7,9 @@ produces its unit normal. Tangent vectors come from conjugating the connection
 coefficients, which keeps the first fundamental form exact instead of
 finite-difference accurate.
 
-U_hat(lambda0), its t-derivative and its inverse are evaluated once per point;
-all six fields are conjugated by that one pair, one field at a time, with 2x2
-products written out entry by entry.
+U_hat(lambda0) and its t-derivative come from one packed_eval of the frame
+field, and all six fields are conjugated by U_hat(lambda0) and its inverse,
+one field at a time, with 2x2 products written out entry by entry.
 
 The su(2) to R^3 identification uses the orthonormal basis
 
@@ -22,7 +22,8 @@ cross product e1 x e2 = (0, 0, 1).
 import numpy as np
 
 from .frames import truncation_tail
-from .loops import eval_coeffs, mat_inv2, sup_abs
+# eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
+from .loops import eval_coeffs, mat_inv2, packed_eval, sup_abs
 
 E1 = 0.5 * np.array([[0, 1j], [1j, 0]])
 E2 = 0.5 * np.array([[0, -1], [1, 0]])
@@ -38,7 +39,7 @@ def su2_to_r3(X, tol=1e-8):
     X = np.asarray(X)
     defect = max(sup_abs(X + np.conj(np.swapaxes(X, -1, -2))),
                  sup_abs(X[..., 0, 0] + X[..., 1, 1]))
-    if defect > tol:
+    if not defect <= tol:
         raise StructureError(f"not su(2): defect {defect:.3e} > {tol:g}")
     u1 = np.imag(X[..., 0, 1] + X[..., 1, 0])
     u2 = np.real(X[..., 1, 0] - X[..., 0, 1])
@@ -67,7 +68,7 @@ class SurfaceGrid:
         self.Ny = Ny
         self.conn = conn
         norm_defect = sup_abs(np.linalg.norm(N, axis=-1) - 1.0)
-        if norm_defect > normal_tol:
+        if not norm_defect <= normal_tol:
             raise StructureError(
                 f"normal field norm defect {norm_defect:.3e} > {normal_tol:g}")
         self.i0x = int(np.argmin(np.abs(x)))
@@ -99,11 +100,11 @@ def _mul2(A, B):
 
 
 def _frame_at(field, lam0, structure_tol):
-    """U_hat(lam0), its pointwise inverse and the structure tolerance."""
+    """(U_hat(lam0), its inverse, the structure tolerance), and U_hat_t."""
     if structure_tol is None:
         structure_tol = _structure_tol(field, lam0)
-    Ue = eval_coeffs(field.Uhat, -field.n_trunc, lam0)
-    return Ue, mat_inv2(Ue), structure_tol
+    Ue, Ut = packed_eval(field.Uhat, -field.n_trunc, lam0)
+    return (Ue, mat_inv2(Ue), structure_tol), Ut
 
 
 def _ad(Ue, Ui, tol, W):
@@ -122,16 +123,12 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
-    frame = _frame_at(field, lam0, structure_tol)
+    frame, Ut = _frame_at(field, lam0, structure_tol)
     _, Ui, tol = frame
-    N = field.n_trunc
-    degs = np.arange(-N, N + 1)
-    Ut = np.einsum("xydab,d->xyab", field.Uhat,
-                   (degs * lam0 ** degs.astype(float)).astype(complex))
     f = su2_to_r3(_mul2(Ut, Ui), tol=tol)
     Nrm = _ad(*frame, E3)
     nrm = np.linalg.norm(Nrm, axis=-1, keepdims=True)
-    if sup_abs(nrm - 1.0) > max(1e-8, tol):
+    if not sup_abs(nrm - 1.0) <= max(1e-8, tol):
         raise StructureError(f"normal norm defect {sup_abs(nrm - 1.0):.3e}")
     S = SurfaceGrid(field.x, field.y, lam0, f, Nrm / nrm, conn=conn)
     if conn is not None:
@@ -161,10 +158,10 @@ def analytic_tangents(field, conn, lam0, structure_tol=None):
     y tangent is the sign-flipped degree -1 part. Norms are exactly lam0 and
     1/lam0.
     """
-    return _tangents(_frame_at(field, lam0, structure_tol), conn, lam0)
+    return _tangents(_frame_at(field, lam0, structure_tol)[0], conn, lam0)
 
 
 def analytic_normal_derivatives(field, conn, lam0, structure_tol=None):
     """Exact normal derivatives by conjugating connection commutators with e3."""
-    return _normal_derivatives(_frame_at(field, lam0, structure_tol), conn,
+    return _normal_derivatives(_frame_at(field, lam0, structure_tol)[0], conn,
                                lam0)

@@ -91,6 +91,22 @@ def test_packed_product_matches_full_product(amin, alen, bmin, blen,
     assert np.array_equal(adj, loops.adjugate_coeffs(A))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-6, 0), st.integers(0, 5), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 31 - 1))
+def test_packed_eval_matches_full_eval(kmin, klen, lam, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(3, klen + 1)) + 1j * rng.normal(size=(3, klen + 1))
+    C = loops.unpack(p, kmin)
+    U, Ut = loops.packed_eval(p, kmin, lam)
+    want = loops.eval_coeffs(C, kmin, lam)
+    want_t = sum(k * lam ** k * C[:, i]
+                 for i, k in enumerate(range(kmin, kmin + klen + 1)))
+    assert U.shape == Ut.shape == (3, 2, 2)
+    assert loops.sup_abs(U - want) < 1e-13 * max(1.0, loops.sup_abs(want))
+    assert loops.sup_abs(Ut - want_t) < 1e-13 * max(1.0, loops.sup_abs(want_t))
+
+
 def test_real_form_defect_sees_parity_and_conjugation():
     C = loops.unpack(np.array([1.0 + 0.5j, 0.3 - 0.2j]), 0)
     assert loops.real_form_defect(C, 0) == 0.0
@@ -259,6 +275,9 @@ def test_one_unitarity_residual_serves_loops_and_frames():
 def test_parity_violation_raises():
     C = np.zeros((1, 2, 2), complex)
     C[0, 0, 1] = 1e-3                   # off-diagonal entry at even degree
+    with pytest.raises(ParityError):
+        TwistedLoop(0, C)
+    C[0, 0, 1] = np.nan
     with pytest.raises(ParityError):
         TwistedLoop(0, C)
 

@@ -33,6 +33,8 @@ def test_su2_structure_is_enforced():
         pf.su2_to_r3(np.eye(2))                     # Hermitian, nonzero trace
     with pytest.raises(StructureError):
         pf.su2_to_r3(np.array([[1j, 0], [0, 1j]]))  # anti-Hermitian, traceful
+    with pytest.raises(StructureError):
+        pf.su2_to_r3(np.full((2, 2), np.nan))
 
 
 def test_lambda_must_be_positive(ps_run):
@@ -100,6 +102,31 @@ def test_vacuum_tangent_is_constant(vacuum_run):
     assert np.abs(S.fx - np.array([1.0, 0.0, 0.0])).max() < 1e-10
 
 
+def test_surface_grid_rejects_nan_normal(ps_run):
+    S = ps_run.surfaces[1.0]
+    N = S.N.copy()
+    N[3, 4] = np.nan
+    with pytest.raises(StructureError, match="normal field norm"):
+        sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
+
+
+def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
+    field = copy.copy(ps_run.field)
+    field.Uhat = ps_run.field.Uhat.copy()
+    field.Uhat[6, 5, field.n_trunc] = np.nan
+    with pytest.raises(StructureError, match="not su"):
+        pf.sym_immersion(field, 1.0)
+
+    def coordinates(X, tol=None):                  # su2_to_r3 without its gate
+        return np.stack([np.imag(X[..., 0, 1] + X[..., 1, 0]),
+                         np.real(X[..., 1, 0] - X[..., 0, 1]),
+                         np.imag(X[..., 0, 0] - X[..., 1, 1])], axis=-1)
+
+    monkeypatch.setattr(sym, "su2_to_r3", coordinates)
+    with pytest.raises(StructureError, match="normal norm defect"):
+        pf.sym_immersion(field, 1.0)
+
+
 def test_surface_grid_carries_metadata(ps_run):
     S = ps_run.surfaces[2.0]
     assert S.lam0 == 2.0
@@ -115,8 +142,9 @@ def reference_fields(field, conn, lam):
     N = field.n_trunc
     degs = np.arange(-N, N + 1)
     w = lam ** degs.astype(float)
-    Ue = np.einsum("xydab,d->xyab", field.Uhat, w.astype(complex))
-    Ut = np.einsum("xydab,d->xyab", field.Uhat, (degs * w).astype(complex))
+    U = loops.unpack(field.Uhat, -N)
+    Ue = np.einsum("xydab,d->xyab", U, w.astype(complex))
+    Ut = np.einsum("xydab,d->xyab", U, (degs * w).astype(complex))
     Ui = loops.mat_inv2(Ue)
 
     def r3(X):                          # coordinates only; no structure gate
@@ -141,13 +169,13 @@ def reference_fields(field, conn, lam):
 
 def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
     calls = []
-    orig = sym.eval_coeffs
+    orig = sym.packed_eval
 
     def counting(*args, **kwargs):
         calls.append(args[2])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(sym, "eval_coeffs", counting)
+    monkeypatch.setattr(sym, "packed_eval", counting)
     for lam in (0.5, 2.0):
         pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
     assert calls == [0.5, 2.0]
@@ -170,8 +198,10 @@ def test_fields_match_einsum_reference(run_name, request):
 def test_structure_checks_see_a_perturbed_frame(ps_run):
     field = copy.copy(ps_run.field)
     field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[..., field.n_trunc, 0, 0] += 1e-3
-    with pytest.raises(StructureError):
+    field.Uhat[..., field.n_trunc] += 1e-3
+    with pytest.raises(StructureError, match="not su"):
         pf.sym_immersion(field, 1.0, conn=ps_run.conn)
+    field.Uhat = ps_run.field.Uhat.copy()
+    field.Uhat[6, 5, field.n_trunc] = np.nan
     with pytest.raises(StructureError):
         pf.analytic_tangents(field, ps_run.conn, 1.0)
