@@ -13,6 +13,11 @@ import numpy as np
 
 from .loops import sup_abs
 
+REG_THRESHOLD = 0.01    # EG - F^2 = sin^2 omega: excludes |sin omega| <= 0.1
+DET_TOL = 1e-8          # determinant defect of the adapted frames
+TORSION_SKIP = 1e-3     # ||c' x c''|| at or below it: no torsion
+CLOSURE_TOL = 1e-4      # cell circulation above it: normal not integrable
+
 
 def d_x(F, h):
     """Order-2 derivative along axis 0, one-sided at the edges."""
@@ -27,14 +32,32 @@ def d_y(F, h):
     return np.swapaxes(d_x(np.swapaxes(F, 0, 1), h), 0, 1)
 
 
-def _spacing(S):
-    return float(S.x[1] - S.x[0]), float(S.y[1] - S.y[0])
+def d_xy(F, hx, hy):
+    """Centered mixed derivative on the interior; NaN on the boundary ring."""
+    out = np.full_like(F, np.nan)
+    out[1:-1, 1:-1] = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) \
+        / (4.0 * hx * hy)
+    return out
 
 
-def _tangents(S):
+def cumtrapz_origin(F, h, i0):
+    """Cumulative trapezoid along axis 0, zeroed at node i0."""
+    out = np.zeros_like(F)
+    np.cumsum(0.5 * (F[1:] + F[:-1]) * h, axis=0, out=out[1:])
+    out -= out[i0:i0 + 1]
+    return out
+
+
+def spacing(grid):
+    """Steps (hx, hy) of a uniform grid: anything with x and y node arrays."""
+    return float(grid.x[1] - grid.x[0]), float(grid.y[1] - grid.y[0])
+
+
+def tangents(S):
+    """Exact tangent fields when attached to S, else finite differences of f."""
     if S.fx is not None and S.fy is not None:
         return S.fx, S.fy
-    hx, hy = _spacing(S)
+    hx, hy = spacing(S)
     return d_x(S.f, hx), d_y(S.f, hy)
 
 
@@ -69,21 +92,19 @@ class GeometryReport:
                 f"threshold {self.reg_threshold:g})")
 
 
-def fundamental_forms(S, tangents=None, normal_derivs=None, reg_threshold=0.01):
+def fundamental_forms(S):
     """Both fundamental forms and Gauss curvature of a surface grid.
 
-    tangents and normal_derivs override the fields attached to S; with neither
-    available the derivatives are taken by finite differences. For the
-    surfaces built here EG - F^2 = sin^2 of the asymptotic angle, so the
-    default threshold 0.01 excludes nodes within |sin| <= 0.1 of a cusp line.
+    The tangent and normal-derivative fields attached to S are used when
+    present, finite differences otherwise. For the surfaces built here
+    EG - F^2 = sin^2 of the asymptotic angle, so the regularity threshold
+    REG_THRESHOLD = 0.01 excludes nodes within |sin| <= 0.1 of a cusp line.
     """
-    fx, fy = tangents if tangents is not None else _tangents(S)
-    if normal_derivs is not None:
-        Nx, Ny = normal_derivs
-    elif S.Nx is not None and S.Ny is not None:
+    fx, fy = tangents(S)
+    if S.Nx is not None and S.Ny is not None:
         Nx, Ny = S.Nx, S.Ny
     else:
-        hx, hy = _spacing(S)
+        hx, hy = spacing(S)
         Nx, Ny = d_x(S.N, hx), d_y(S.N, hy)
     E = _dot(fx, fx)
     F = _dot(fx, fy)
@@ -92,10 +113,10 @@ def fundamental_forms(S, tangents=None, normal_derivs=None, reg_threshold=0.01):
     m = -_dot(fx, Ny)
     n = -_dot(fy, Ny)
     denom = E * G - F * F
-    regular = denom > reg_threshold
+    regular = denom > REG_THRESHOLD
     K = np.full_like(E, np.nan)
     K[regular] = (ell * n - m * m)[regular] / denom[regular]
-    return GeometryReport(E, F, G, ell, m, n, K, regular, reg_threshold)
+    return GeometryReport(E, F, G, ell, m, n, K, regular, REG_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +146,21 @@ class FrameReport:
         return d1, d2
 
 
-def tangent_frame(S, det_tol=1e-8):
+def tangent_frame(S):
     """Unit x tangent and its in-plane normal rotation, orthonormalized.
 
     The x tangent is projected off the normal before normalizing, so the
     triple (tx, fxp, N) has unit determinant to rounding regardless of whether
-    the tangents are exact or finite differences.
+    the tangents are exact or finite differences; a defect above DET_TOL
+    (or NaN) raises ValueError.
     """
-    fx, _ = _tangents(S)
+    fx, _ = tangents(S)
     tx = fx - S.N * _dot(fx, S.N)[..., None]
     tx = tx / np.linalg.norm(tx, axis=-1, keepdims=True)
     fxp = np.cross(S.N, tx)
     frame = FrameReport(tx, fxp, S.N)
     d1, _ = frame.det_defects()
-    if d1 > det_tol:
+    if not d1 <= DET_TOL:
         raise ValueError(f"adapted frame determinant defect {d1:.3e}")
     return frame
 
@@ -149,14 +171,14 @@ def angle_field(S, frame):
     atan2 against the adapted frame, unwrapped column-wise along x and then
     along y, with the branch fixed so the origin value lands in [0, 2 pi).
     """
-    _, fy = _tangents(S)
+    _, fy = tangents(S)
     omega = np.arctan2(_dot(fy, frame.fxp), _dot(fy, frame.tx))
     omega = np.unwrap(np.unwrap(omega, axis=0), axis=1)
     omega -= 2.0 * np.pi * np.floor(omega[S.i0x, S.i0y] / (2.0 * np.pi))
     return omega
 
 
-def complete_frame(frame, omega, det_tol=1e-8):
+def complete_frame(frame, omega):
     """Turn the adapted frame by half the angle field; validates determinants."""
     theta = 0.5 * omega
     c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
@@ -164,7 +186,7 @@ def complete_frame(frame, omega, det_tol=1e-8):
     e2 = -s * frame.tx + c * frame.fxp
     out = FrameReport(frame.tx, frame.fxp, frame.N, theta, e1, e2)
     d1, d2 = out.det_defects()
-    if max(d1, d2) > det_tol:
+    if not (d1 <= DET_TOL and d2 <= DET_TOL):
         raise ValueError(f"frame determinant defects {d1:.3e}, {d2:.3e}")
     return out
 
@@ -174,11 +196,7 @@ def complete_frame(frame, omega, det_tol=1e-8):
 
 def sine_gordon_residual(omega, hx, hy):
     """Mixed-derivative residual omega_xy - sin(omega); NaN on the boundary."""
-    res = np.full_like(omega, np.nan)
-    res[1:-1, 1:-1] = (omega[2:, 2:] - omega[2:, :-2] - omega[:-2, 2:]
-                       + omega[:-2, :-2]) / (4.0 * hx * hy) \
-        - np.sin(omega[1:-1, 1:-1])
-    return res
+    return d_xy(omega, hx, hy) - np.sin(omega)
 
 
 def harmonicity_residual(S, omega):
@@ -188,25 +206,22 @@ def harmonicity_residual(S, omega):
     N_xy - cos(omega) N per node, h_harm the scalar <N_xy, N> that should
     equal cos(omega). Both are NaN on the boundary ring.
     """
-    hx, hy = _spacing(S)
     N = S.N
-    Nxy = np.full_like(N, np.nan)
-    Nxy[1:-1, 1:-1] = (N[2:, 2:] - N[2:, :-2] - N[:-2, 2:] + N[:-2, :-2]) \
-        / (4.0 * hx * hy)
+    Nxy = d_xy(N, *spacing(S))
     residual = np.linalg.norm(Nxy - np.cos(omega)[..., None] * N, axis=-1)
     h_harm = _dot(Nxy, N)
     return residual, h_harm
 
 
-def asymptotic_torsion(S, direction="x", skip_threshold=1e-3):
+def asymptotic_torsion(S, direction="x"):
     """Torsion of the parameter curves, order-4 stencils, margin of 3 nodes.
 
     Nodes whose curvature vector norm ||c' x c''|| falls at or below
-    skip_threshold are NaN (torsion is undefined on straight segments).
+    TORSION_SKIP are NaN (torsion is undefined on straight segments).
     Returns the torsion field, NaN at margins and skipped nodes.
     """
     f = S.f if direction == "x" else np.swapaxes(S.f, 0, 1)
-    h = _spacing(S)[0 if direction == "x" else 1]
+    h = spacing(S)[0 if direction == "x" else 1]
     c = 3
 
     def sh(F, k):
@@ -221,7 +236,7 @@ def asymptotic_torsion(S, direction="x", skip_threshold=1e-3):
     cr = np.cross(d1, d2)
     cr2 = _dot(cr, cr)
     tau_core = np.full(cr2.shape, np.nan)
-    ok = np.sqrt(cr2) > skip_threshold
+    ok = np.sqrt(cr2) > TORSION_SKIP
     tau_core[ok] = _dot(cr, d3)[ok] / cr2[ok]
     tau = np.full(f.shape[:2], np.nan)
     tau[c:-c] = tau_core
@@ -230,17 +245,14 @@ def asymptotic_torsion(S, direction="x", skip_threshold=1e-3):
     return tau
 
 
-def front_from_normal(N, hx, hy, Nx=None, Ny=None, origin=None, warn_tol=1e-4):
+def front_from_normal(N, hx, hy, Nx=None, Ny=None):
     """Reconstruct the front from its normal field by path integration.
 
     Tangents are N x N_x and -N x N_y (finite differences of N when the exact
-    derivatives are not supplied). Integration runs along the x axis first and
-    then up each column; the per-cell circulation of the tangent one-form is
-    returned alongside, and a warning is issued when it exceeds warn_tol
-    (a non-integrable normal field).
-
-    origin is the (i, j) index pair the reconstruction is anchored at;
-    defaults to the grid center.
+    derivatives are not supplied). Integration starts at the grid center, runs
+    along its row first and then along each column; the per-cell circulation
+    of the tangent one-form is returned alongside, and a warning is issued
+    when it exceeds CLOSURE_TOL or is NaN (a non-integrable normal field).
     """
     if Nx is None:
         Nx = d_x(N, hx)
@@ -248,37 +260,32 @@ def front_from_normal(N, hx, hy, Nx=None, Ny=None, origin=None, warn_tol=1e-4):
         Ny = d_y(N, hy)
     fx = np.cross(N, Nx)
     fy = -np.cross(N, Ny)
-    if origin is None:
-        origin = (N.shape[0] // 2, N.shape[1] // 2)
-    i0, j0 = origin
-    Fx = np.zeros_like(fx)
-    np.cumsum(0.5 * (fx[1:] + fx[:-1]) * hx, axis=0, out=Fx[1:])
-    rowx = Fx[:, j0] - Fx[i0, j0]
-    Fy = np.zeros_like(fy)
-    np.cumsum(0.5 * (fy[:, 1:] + fy[:, :-1]) * hy, axis=1, out=Fy[:, 1:])
-    f = rowx[:, None, :] + (Fy - Fy[:, j0:j0 + 1])
+    i0, j0 = N.shape[0] // 2, N.shape[1] // 2
+    rowx = cumtrapz_origin(fx, hx, i0)[:, j0]
+    Fy = np.swapaxes(cumtrapz_origin(np.swapaxes(fy, 0, 1), hy, j0), 0, 1)
+    f = rowx[:, None, :] + Fy
     ex = 0.5 * (fx[1:, :] + fx[:-1, :]) * hx
     ey = 0.5 * (fy[:, 1:] + fy[:, :-1]) * hy
     closure = np.linalg.norm(ex[:, :-1] + ey[1:, :] - ex[:, 1:] - ey[:-1, :],
                              axis=-1)
-    if closure.max() > warn_tol:
+    if not closure.max() <= CLOSURE_TOL:
         warnings.warn(f"normal field is not integrable: cell circulation "
                       f"{closure.max():.3e}", stacklevel=2)
     return f, closure
 
 
-def normal_sign_comparison(S, omega, threshold=0.1):
+def normal_sign_comparison(S, omega):
     """Compare the cross-product normal against the stored one.
 
-    Away from the cusp lines (|sin omega| > threshold) the normalized
+    Away from the cusp lines (|sin omega| > 0.1) the normalized
     f_x x f_y must equal sign(sin omega) times the stored normal. Returns the
     per-node sign of their inner product, the comparison mask and the largest
     deviation on it.
     """
-    fx, fy = _tangents(S)
+    fx, fy = tangents(S)
     cr = np.cross(fx, fy)
     nrm = np.linalg.norm(cr, axis=-1, keepdims=True)
-    mask = np.abs(np.sin(omega)) > threshold
+    mask = np.abs(np.sin(omega)) > 0.1
     N_std = cr / np.maximum(nrm, 1e-30)
     sgn = np.sign(np.sin(omega))
     dev = np.linalg.norm(N_std - sgn[..., None] * S.N, axis=-1)

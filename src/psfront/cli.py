@@ -38,6 +38,10 @@ DEFAULT_TOLERANCES = (
 )
 
 
+CONFIG_KEYS = ("preset", "amplitude", "potential", "interval", "grid", "trunc",
+               "lambdas", "tolerances", "out", "step")
+
+
 class ConfigError(ValueError):
     """Run configuration violates a structural requirement."""
 
@@ -48,6 +52,8 @@ class RunConfig:
     def __init__(self, preset="pseudosphere", amplitude=None, potential=None,
                  interval=(-2.0, 2.0), grid=129, trunc=16, lambdas=(1.0,),
                  tolerances=None, out=".", step=None):
+        if preset == "c0_kink" and potential is None and amplitude is None:
+            raise ConfigError("preset c0_kink requires --amplitude")
         self.preset = preset
         self.amplitude = amplitude
         self.potential = potential
@@ -99,22 +105,13 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
+        """Keys the JSON file sets, overridden by the flags given; the rest
+        keep the defaults of __init__."""
         data = {}
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 data = json.load(fh)
-        kwargs = {
-            "preset": data.get("preset", "pseudosphere"),
-            "amplitude": data.get("amplitude"),
-            "potential": data.get("potential"),
-            "interval": data.get("interval", (-2.0, 2.0)),
-            "grid": data.get("grid", 129),
-            "trunc": data.get("trunc", 16),
-            "lambdas": data.get("lambdas", (1.0,)),
-            "tolerances": data.get("tolerances"),
-            "out": data.get("out", "."),
-            "step": data.get("step"),
-        }
+        kwargs = {k: data[k] for k in CONFIG_KEYS if k in data}
         if getattr(args, "preset", None):
             kwargs["preset"] = args.preset
             kwargs["potential"] = None
@@ -130,7 +127,7 @@ class RunConfig:
             kwargs["out"] = args.out
         tol_args = getattr(args, "tol", None)
         if tol_args:
-            tols = dict(kwargs["tolerances"] or {})
+            tols = dict(kwargs.get("tolerances") or {})
             for entry in tol_args:
                 if "=" in entry:
                     name, _, val = entry.partition("=")
@@ -139,9 +136,6 @@ class RunConfig:
                     for name, _ in DEFAULT_TOLERANCES:
                         tols[name] = float(entry)
             kwargs["tolerances"] = tols
-        if kwargs["preset"] == "c0_kink" and kwargs["potential"] is None \
-                and kwargs["amplitude"] is None:
-            raise ConfigError("preset c0_kink requires --amplitude")
         return cls(**kwargs)
 
 
@@ -331,9 +325,7 @@ def _checks_for(field, conn, S, lam, zcc_sup):
 
     unit = loops.unitarity_residual(
         loops.packed_eval(field.Uhat, -field.n_trunc, lam)[0])
-    hx = float(S.x[1] - S.x[0])
-    hy = float(S.y[1] - S.y[0])
-    sg = analysis.sine_gordon_residual(omega, hx, hy)
+    sg = analysis.sine_gordon_residual(omega, *analysis.spacing(S))
     harm, _ = analysis.harmonicity_residual(S, omega)
     tau = analysis.asymptotic_torsion(S, "x")
     return _form_residuals(rep, lam, omega) + [

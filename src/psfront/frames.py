@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import loops
-from .analysis import d_x, d_y
+from .analysis import cumtrapz_origin, d_x, d_y, spacing
 # eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
 from .loops import (DEFAULT_TRUNC, RealFormError, TwistedLoop, eval_coeffs,
                     inverse_coeffs, mul_coeffs, pack, packed_adjugate,
@@ -46,14 +46,6 @@ class ConnectionShapeError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # ladder integration
-
-def cumtrapz_origin(F, h, i0):
-    """Cumulative trapezoid along axis 0, zeroed at node i0."""
-    out = np.zeros_like(F)
-    np.cumsum(0.5 * (F[1:] + F[:-1]) * h, axis=0, out=out[1:])
-    out -= out[i0:i0 + 1]
-    return out
-
 
 def ladder(A, h, i0, n_deg):
     """Iterated integrals U_0 = I, U_k = int_0 U_{k-1} A; shape (n, n_deg+1, 2, 2)."""
@@ -244,14 +236,20 @@ def truncation_tail(n_trunc, reach, lam_amp=1.0):
     return m ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(m)
 
 
-def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
+def tail_tolerance(floor, n_trunc, reach, lam_amp):
+    """Gate for a defect made of truncation tail: 50 x the bound, floored."""
+    return max(floor, 50.0 * truncation_tail(n_trunc, reach, lam_amp))
+
+
+def build_frame_field(up, um, consistency_tol=None):
     """Glue two half-frame families into the frame field over the grid.
 
     The one-dimensional families are integrated once; the per-node work is the
     Toeplitz solve and a handful of window products, vectorized over the whole
     grid on packed loops (loops.pack); a family off the twisted real form
-    raises RealFormError. Default tolerances follow the truncation tail of the
-    ladder, which is what the consistency and unitarity defects consist of.
+    raises RealFormError. The unitarity tolerance, and the consistency one
+    unless given, follow the truncation tail of the ladder, which is what
+    those defects consist of.
     """
     if up.axis != "x" or um.axis != "y":
         raise GridError("expected an x-axis family and a y-axis family")
@@ -260,10 +258,9 @@ def build_frame_field(up, um, consistency_tol=None, unitarity_tol=None):
     N = up.n_trunc
     reach = max(np.abs(up.nodes).max(), np.abs(um.nodes).max())
     if consistency_tol is None:
-        consistency_tol = max(1e-12, 50.0 * truncation_tail(N, reach))
-    if unitarity_tol is None:
-        # unitarity is probed at lambda in {1/2, 1, 2}
-        unitarity_tol = max(1e-9, 50.0 * truncation_tail(N, reach, lam_amp=2.0))
+        consistency_tol = tail_tolerance(1e-12, N, reach, 1.0)
+    # unitarity is probed at lambda in {1/2, 1, 2}
+    unitarity_tol = tail_tolerance(1e-9, N, reach, 2.0)
     parity_defect = 0.0
     for fam in (up, um):
         defect = real_form_defect(fam.coeffs, fam.k_min)
@@ -349,13 +346,13 @@ class ConnectionField:
         self.omega2_cm1 = unpack(-0.5 * self.p[..., None], -1)[..., 0, :, :]
 
 
-def extract_connection(field, check_shape=True, shape_tol=None):
-    """Read the connection off the factors; optionally cross-check by differences.
+def extract_connection(field, shape_tol=None):
+    """Read the connection off the factors and cross-check it by differences.
 
     The angle field comes from the degree-0 coefficient of L_plus anchored to
     beta on the y axis; r comes from the degree -1 coefficient of L_minus.
-    With check_shape on, U_hat^{-1} U_hat_x and U_hat^{-1} U_hat_y are formed
-    by finite differences and must reproduce the prescribed Laurent pattern
+    U_hat^{-1} U_hat_x and U_hat^{-1} U_hat_y are then formed by finite
+    differences and must reproduce the prescribed Laurent pattern
     (degrees {0, 1} and {-1}) with off-pattern coefficients and field
     disagreements below shape_tol. Raises ConnectionShapeError otherwise.
     """
@@ -369,16 +366,13 @@ def extract_connection(field, check_shape=True, shape_tol=None):
     phihat = beta[None, :] + dphi
     ell_m1 = field.Lm[..., field.n_trunc - 1]
     r = -2.0 * np.real(np.exp(1j * alpha)[:, None] * ell_m1)
-    report = None
-    if check_shape:
-        report = _shape_check(field, alpha, beta, phihat, r, shape_tol)
+    report = _shape_check(field, alpha, beta, phihat, r, shape_tol)
     return ConnectionField(x, y, alpha, beta, phihat, r, report)
 
 
 def _shape_check(field, alpha, beta, phihat, r, tol):
     """Compare FD frame derivatives against the expected connection pattern."""
-    hx = float(field.x[1] - field.x[0])
-    hy = float(field.y[1] - field.y[0])
+    hx, hy = spacing(field)
     if tol is None:
         h = max(hx, hy)
         # O(h) floor: for merely continuous potentials the frame's second
@@ -423,8 +417,7 @@ def zcc_residual(conn):
     each node. The lambda^{+1} block is the y derivative of a y-independent
     coefficient and is included for completeness.
     """
-    hx = float(conn.x[1] - conn.x[0])
-    hy = float(conn.y[1] - conn.y[0])
+    hx, hy = spacing(conn)
     w1_0, w1_1, w2_m1 = conn.omega1_c0, conn.omega1_c1, conn.omega2_cm1
 
     def comm(A, B):

@@ -23,6 +23,9 @@ import numpy as np
 
 DEFAULT_TRUNC = 16
 MAX_DEGREE = 64                     # hard cap for any requested window bound
+PARITY_TOL = 1e-12                  # structural-zero entries cleaned up to it
+PIVOT_TOL = 1e-12                   # smallest invertible degree-0 coefficient
+NEUMANN_MAX_TERMS = 80
 
 I2 = np.eye(2, dtype=complex)
 
@@ -155,22 +158,23 @@ def det_coeffs(C, kmin):
     return det, 2 * kmin
 
 
-def recip_coeffs(d, dmin, outmin, outlen, pivot_tol=1e-12, max_terms=80):
+def recip_coeffs(d, dmin, outmin, outlen):
     """Reciprocal of a scalar series via the Neumann sum around its degree-0 term.
 
     Writes d = d0 (1 - e) with e carrying no degree-0 part, then accumulates
     (1/d0) sum_j e^j on the requested window. Terms outside the window are
     dropped; the error this introduces is of the same order as the window
     truncation already accepted everywhere else. A sum whose terms have not
-    fallen below 1e-18 after max_terms raises SingularSeriesError.
+    fallen below 1e-18 after NEUMANN_MAX_TERMS raises SingularSeriesError, as
+    does a degree-0 coefficient below PIVOT_TOL.
     """
     i0 = -dmin
     if not 0 <= i0 < d.shape[-1]:
         raise SingularSeriesError("series has no degree-0 coefficient")
     d0 = d[..., i0].copy()
-    if np.abs(d0).min() < pivot_tol:
+    if np.abs(d0).min() < PIVOT_TOL:
         raise SingularSeriesError(
-            f"degree-0 coefficient below {pivot_tol:g}, series not invertible")
+            f"degree-0 coefficient below {PIVOT_TOL:g}, series not invertible")
     e = -d / d0[..., None]
     e[..., i0] += 1.0                           # e = 1 - d/d0
     r = np.zeros(d.shape[:-1] + (outlen,), complex)
@@ -178,15 +182,15 @@ def recip_coeffs(d, dmin, outmin, outlen, pivot_tol=1e-12, max_terms=80):
         raise ValueError("reciprocal window must contain degree 0")
     r[..., -outmin] = 1.0
     term = r.copy()
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         term = scalar_conv(term, e, outmin, dmin, outmin, outlen)
         if np.abs(term).max() < 1e-18:
             break
         r += term
     else:
         raise SingularSeriesError(
-            f"Neumann series not converged after {max_terms} terms: largest "
-            f"term {np.abs(term).max():.3e}")
+            f"Neumann series not converged after {NEUMANN_MAX_TERMS} terms: "
+            f"largest term {np.abs(term).max():.3e}")
     return r / d0[..., None]
 
 
@@ -282,11 +286,11 @@ class ScalarLaurent:
 class TwistedLoop:
     """Single twisted loop: (D, 2, 2) coefficient block plus lowest degree.
 
-    Construction verifies the parity pattern; entries below parity_tol on
-    structural zeros are cleaned to exact zeros, larger ones raise.
+    Construction verifies the parity pattern; entries up to PARITY_TOL on
+    structural zeros are cleaned to exact zeros, larger ones (or NaN) raise.
     """
 
-    def __init__(self, k_min, coeffs, parity_tol=1e-12):
+    def __init__(self, k_min, coeffs):
         self.k_min = int(k_min)
         self.coeffs = np.array(coeffs, dtype=complex)
         if self.coeffs.ndim != 3 or self.coeffs.shape[-2:] != (2, 2):
@@ -295,8 +299,8 @@ class TwistedLoop:
             raise TruncationOverflowError(
                 f"degrees [{self.k_min}, {self.k_max}] exceed {MAX_DEGREE}")
         viol = parity_violation(self.coeffs, self.k_min)
-        if not viol <= parity_tol:
-            raise ParityError(f"parity violation {viol:.3e} > {parity_tol:g}")
+        if not viol <= PARITY_TOL:
+            raise ParityError(f"parity violation {viol:.3e} > {PARITY_TOL:g}")
         self.coeffs[_parity_zeros(self.k_min, len(self.coeffs))] = 0.0
 
     @property

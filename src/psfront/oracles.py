@@ -36,7 +36,8 @@ def cumtrapz_from_origin(F, coord, axis):
     """Trapezoid antiderivative along one axis, zero at the node nearest 0.
 
     Works on non-uniform grids and anchors at the origin node so integrals
-    from negative coordinates carry the correct sign.
+    from negative coordinates carry the correct sign. Kept apart from
+    analysis.cumtrapz_origin on purpose: it is the independent reference.
     """
     F = np.asarray(F, float)
     coord = np.asarray(coord, float)
@@ -57,8 +58,10 @@ def goursat_solve(alpha, beta, x, y, tol=1e-12, max_iter=60):
     sweep substitutes the current iterate into the double integral
     w = alpha + beta + int int sin w; the iteration is a contraction on the
     rectangles used here and the error settles at the quadrature level,
-    second order in the grid spacing.
+    second order in the grid spacing. max_iter must be at least 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     alpha_row = np.asarray(alpha(x) if callable(alpha) else alpha, float)

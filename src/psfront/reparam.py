@@ -11,9 +11,13 @@ produced the surface.
 
 import numpy as np
 
-from .analysis import d_x, d_y
+from .analysis import cumtrapz_origin, d_x, d_y, spacing, tangents
 from .loops import sup_abs
 from .sym import SurfaceGrid
+
+PATCH_NGRID = 33        # chart samples per side
+NEWTON_TOL = 1e-12      # preimage residual in chart coordinates
+NEWTON_MAX_ITER = 25
 
 
 class ChebyshevError(ValueError):
@@ -30,10 +34,10 @@ class ReparamMap1D:
     def __init__(self, nodes, s):
         self.nodes = np.asarray(nodes, float)
         self.s = np.asarray(s, float)
-        if np.any(np.diff(self.s) <= 0):
+        if not np.all(np.diff(self.s) > 0):
             raise ChebyshevError("reparametrization is not strictly monotone")
         i0 = int(np.argmin(np.abs(self.nodes)))
-        if abs(self.s[i0]) > 1e-10:
+        if not abs(self.s[i0]) <= 1e-10:
             raise ChebyshevError("reparametrization does not fix the origin")
 
     def forward(self, t):
@@ -57,20 +61,6 @@ class ChebyshevResult:
         self.variation_G = variation_G
 
 
-def _metric_rows(S):
-    if S.fx is not None and S.fy is not None:
-        fx, fy = S.fx, S.fy
-        analytic = True
-    else:
-        hx = float(S.x[1] - S.x[0])
-        hy = float(S.y[1] - S.y[0])
-        fx, fy = d_x(S.f, hx), d_y(S.f, hy)
-        analytic = False
-    E = np.einsum("...k,...k->...", fx, fx)
-    G = np.einsum("...k,...k->...", fy, fy)
-    return E, G, analytic
-
-
 def _resample(x, y, field, xs, ys):
     from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
     comps = [RectBivariateSpline(x, y, field[..., k])(xs, ys) for k in
@@ -78,40 +68,35 @@ def _resample(x, y, field, xs, ys):
     return np.stack(comps, axis=-1)
 
 
-def chebyshev_normalize(S, var_tol=None):
+def chebyshev_normalize(S):
     """Reparametrize both axes by arc length; returns a ChebyshevResult.
 
-    E must depend only on x and G only on y (up to var_tol; the default is
-    tight for exact tangent fields and O(h^2) for finite-difference ones).
+    E must depend only on x and G only on y, up to a tolerance that is tight
+    for exact tangent fields and O(h^2) for finite-difference ones; a larger
+    or NaN variation raises ChebyshevError.
     The new parameters are s = int sqrt(E) dx and t = int sqrt(G) dy on
     uniform grids of the original size, with fields resampled by cubic
     splines and tangents rescaled by the chain rule. Running it twice gives
     identity maps: the result already has unit-speed axes.
     """
-    E, G, analytic = _metric_rows(S)
-    if var_tol is None:
-        h = max(float(S.x[1] - S.x[0]), float(S.y[1] - S.y[0]))
-        var_tol = 1e-6 if analytic else max(1e-6, 25.0 * h * h)
+    fx, fy = tangents(S)
+    E = np.einsum("...k,...k->...", fx, fx)
+    G = np.einsum("...k,...k->...", fy, fy)
+    hx, hy = spacing(S)
+    h = max(hx, hy)
+    analytic = S.fx is not None and S.fy is not None
+    var_tol = 1e-6 if analytic else max(1e-6, 25.0 * h * h)
     E_row = E.mean(axis=1)
     G_col = G.mean(axis=0)
     var_E = sup_abs(E - E_row[:, None]) / max(1.0, sup_abs(E))
     var_G = sup_abs(G - G_col[None, :]) / max(1.0, sup_abs(G))
-    if max(var_E, var_G) > var_tol:
+    if not (var_E <= var_tol and var_G <= var_tol):
         raise ChebyshevError(
             f"metric is not split: E varies {var_E:.3e} across rows, "
             f"G varies {var_G:.3e} across columns (tol {var_tol:.1e})")
-    hx = float(S.x[1] - S.x[0])
-    hy = float(S.y[1] - S.y[0])
     rootE, rootG = np.sqrt(E_row), np.sqrt(G_col)
-
-    def arc(nodes, speed, h):
-        s = np.zeros_like(speed)
-        np.cumsum(0.5 * (speed[1:] + speed[:-1]) * h, out=s[1:])
-        i0 = int(np.argmin(np.abs(nodes)))
-        return s - s[i0]
-
-    s_of_x = arc(S.x, rootE, hx)
-    t_of_y = arc(S.y, rootG, hy)
+    s_of_x = cumtrapz_origin(rootE, hx, S.i0x)
+    t_of_y = cumtrapz_origin(rootG, hy, S.i0y)
     map_x = ReparamMap1D(S.x, s_of_x)
     map_y = ReparamMap1D(S.y, t_of_y)
     s_new = np.linspace(s_of_x[0], s_of_x[-1], len(S.x))
@@ -153,9 +138,9 @@ class GraphPatch:
 
     R maps world coordinates into the chart frame (normal at the center goes
     to +z); f0 is the world position of the center. h is the height over the
-    (u, v) square spanned by uu, sampled ngrid x ngrid. K is the Gauss
-    curvature of the height field by finite differences; its edge rows use
-    one-sided stencils and are first-order only.
+    (u, v) square spanned by uu, sampled PATCH_NGRID x PATCH_NGRID. K is the
+    Gauss curvature of the height field by finite differences; its edge rows
+    use one-sided stencils and are first-order only.
     """
 
     def __init__(self, center, radius, R, f0, uu, h, K, normal_angle, sign,
@@ -204,7 +189,7 @@ class _SplineVec:
                          for s in self.splines], axis=-1)
 
 
-def graph_patch(S, center, radius, ngrid=33, newton_tol=1e-12, max_iter=25):
+def graph_patch(S, center, radius):
     """Graph chart of S over the tangent plane at a parameter-space center.
 
     The parameter disc of the given radius must lie inside the grid, stay on
@@ -223,19 +208,20 @@ def graph_patch(S, center, radius, ngrid=33, newton_tol=1e-12, max_iter=25):
         fx_ev = lambda xs, ys: f_ev(xs, ys, dx=1)
         fy_ev = lambda xs, ys: f_ev(xs, ys, dy=1)
     return graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, S.x, S.y,
-                                 center, radius, ngrid=ngrid,
-                                 newton_tol=newton_tol, max_iter=max_iter)
+                                 center, radius)
 
 
 def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
-                          radius, ngrid=33, newton_tol=1e-12, max_iter=25):
+                          radius):
     """Graph chart from direct surface evaluators (see graph_patch).
 
     The chart square is sized to the projected footprint of the parameter
     disc: its half side is 0.95 / sqrt(2) of the smallest tangent-plane radius
     reached by the disc boundary, so every chart target has a preimage on the
-    center's sheet. Preimages come from vectorized Newton iteration seeded at
-    the nearest disc sample.
+    center's sheet. Preimages on a PATCH_NGRID x PATCH_NGRID chart grid come
+    from vectorized Newton iteration seeded at the nearest disc sample, and
+    must reach NEWTON_TOL within NEWTON_MAX_ITER steps; NaN anywhere on the
+    way raises PatchError.
     """
     cx, cy = float(center[0]), float(center[1])
     if not (x_grid[0] <= cx - radius and cx + radius <= x_grid[-1]
@@ -247,7 +233,7 @@ def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
     n0 = n0 / np.linalg.norm(n0)
     sin_center = float(np.cross(fx_ev(np.array(cx), np.array(cy)),
                                 fy_ev(np.array(cx), np.array(cy))) @ n0)
-    if abs(sin_center) <= 0.3:
+    if not abs(sin_center) > 0.3:
         raise PatchError(f"center sits near a cusp line: "
                          f"|sin omega| = {abs(sin_center):.3f} <= 0.3")
     XS, YS = np.meshgrid(x_grid, y_grid, indexing="ij")
@@ -259,7 +245,7 @@ def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
     sheet = np.einsum("pk,pk->p",
                       np.cross(fx_ev(xs_s, ys_s), fy_ev(xs_s, ys_s)),
                       N_ev(xs_s, ys_s))
-    if (np.sign(sin_center) * sheet).min() <= 0.05:
+    if not (np.sign(sin_center) * sheet).min() > 0.05:
         raise PatchError("parameter disc touches a cusp line or a second "
                          "sheet; reduce the radius")
     Rm = _rotation_to_vertical(n0)
@@ -269,7 +255,7 @@ def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
     pr = (f_ev(XS[ring], YS[ring]) - f0) @ Rm.T
     rho = float(np.hypot(pr[:, 0], pr[:, 1]).min())
     s_half = 0.95 * rho / np.sqrt(2.0)
-    uu = np.linspace(-s_half, s_half, ngrid)
+    uu = np.linspace(-s_half, s_half, PATCH_NGRID)
     UU, VV = np.meshgrid(uu, uu, indexing="ij")
     d = uu[1] - uu[0]
     ut, vt = UU.ravel(), VV.ravel()
@@ -279,25 +265,26 @@ def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
     yt = ys_s[idx].astype(float)
     res = None
     iters = 0
-    for iters in range(max_iter):
+    for iters in range(NEWTON_MAX_ITER):
         pw = (f_ev(xt, yt) - f0) @ Rm.T
         res = np.stack([pw[..., 0] - ut, pw[..., 1] - vt], axis=-1)
-        if np.abs(res).max() < newton_tol:
+        if np.abs(res).max() < NEWTON_TOL:
             break
         Jx = (fx_ev(xt, yt) @ Rm.T)[..., :2]
         Jy = (fy_ev(xt, yt) @ Rm.T)[..., :2]
         J = np.stack([Jx, Jy], axis=-1)
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        if np.abs(det).min() < 1e-12:
+        if not np.abs(det).min() >= 1e-12:
             raise PatchError("projection Jacobian is singular inside the "
                              "patch (fold reached); reduce the radius")
         step = np.linalg.solve(J, res[..., None])[..., 0]
         xt -= step[..., 0]
         yt -= step[..., 1]
-    if np.abs(res).max() >= newton_tol:
+    if not np.abs(res).max() < NEWTON_TOL:
         raise PatchError(f"preimage iteration stalled at residual "
                          f"{np.abs(res).max():.2e}; reduce the radius")
-    hgt = (((f_ev(xt, yt) - f0) @ Rm.T)[..., 2]).reshape(ngrid, ngrid)
+    shape = (PATCH_NGRID, PATCH_NGRID)
+    hgt = (((f_ev(xt, yt) - f0) @ Rm.T)[..., 2]).reshape(shape)
     hu = d_x(hgt, d)
     hv = d_y(hgt, d)
     huu = np.empty_like(hgt)
@@ -312,9 +299,8 @@ def graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, x_grid, y_grid, center,
     Nh = np.stack([-hu, -hv, np.ones_like(hu)], axis=-1) / np.sqrt(W)[..., None]
     Ntr = N_ev(xt, yt)
     Ntr = (Ntr / np.linalg.norm(Ntr, axis=-1, keepdims=True)) @ Rm.T
-    dot = np.einsum("pk,pk->p", Nh.reshape(-1, 3), Ntr).reshape(ngrid, ngrid)
+    dot = np.einsum("pk,pk->p", Nh.reshape(-1, 3), Ntr).reshape(shape)
     angle = np.arccos(np.clip(np.abs(dot), -1.0, 1.0))
     return GraphPatch((cx, cy), radius, Rm, f0, uu, hgt, K, angle,
-                      np.sign(dot), xt.reshape(ngrid, ngrid),
-                      yt.reshape(ngrid, ngrid), s_half, iters,
-                      float(np.abs(res).max()))
+                      np.sign(dot), xt.reshape(shape), yt.reshape(shape),
+                      s_half, iters, float(np.abs(res).max()))

@@ -21,13 +21,15 @@ cross product e1 x e2 = (0, 0, 1).
 
 import numpy as np
 
-from .frames import truncation_tail
+from .frames import tail_tolerance
 # eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
 from .loops import eval_coeffs, mat_inv2, packed_eval, sup_abs
 
 E1 = 0.5 * np.array([[0, 1j], [1j, 0]])
 E2 = 0.5 * np.array([[0, -1], [1, 0]])
 E3 = 0.5 * np.array([[1j, 0], [0, -1j]])
+
+NORMAL_TOL = 1e-8       # unit-normal norm defect
 
 
 class StructureError(ValueError):
@@ -52,11 +54,12 @@ class SurfaceGrid:
 
     f and N have shape (nx, ny, 3). Analytic tangent and normal-derivative
     fields are attached when the connection is available; consumers fall back
-    to finite differences when they are absent.
+    to finite differences when they are absent. A normal whose norm misses 1
+    by more than NORMAL_TOL, or is NaN, raises StructureError.
     """
 
     def __init__(self, x, y, lam0, f, N, fx=None, fy=None, Nx=None, Ny=None,
-                 conn=None, normal_tol=1e-8):
+                 conn=None):
         self.x = x
         self.y = y
         self.lam0 = float(lam0)
@@ -68,9 +71,9 @@ class SurfaceGrid:
         self.Ny = Ny
         self.conn = conn
         norm_defect = sup_abs(np.linalg.norm(N, axis=-1) - 1.0)
-        if not norm_defect <= normal_tol:
+        if not norm_defect <= NORMAL_TOL:
             raise StructureError(
-                f"normal field norm defect {norm_defect:.3e} > {normal_tol:g}")
+                f"normal field norm defect {norm_defect:.3e} > {NORMAL_TOL:g}")
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
 
@@ -86,7 +89,7 @@ class SurfaceGrid:
 def _structure_tol(field, lam0):
     reach = max(np.abs(field.x).max(), np.abs(field.y).max())
     amp = max(lam0, 1.0 / lam0)
-    return max(1e-8, 50.0 * truncation_tail(field.n_trunc, reach, amp))
+    return tail_tolerance(1e-8, field.n_trunc, reach, amp)
 
 
 def _mul2(A, B):
@@ -128,7 +131,7 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
     f = su2_to_r3(_mul2(Ut, Ui), tol=tol)
     Nrm = _ad(*frame, E3)
     nrm = np.linalg.norm(Nrm, axis=-1, keepdims=True)
-    if not sup_abs(nrm - 1.0) <= max(1e-8, tol):
+    if not sup_abs(nrm - 1.0) <= max(NORMAL_TOL, tol):
         raise StructureError(f"normal norm defect {sup_abs(nrm - 1.0):.3e}")
     S = SurfaceGrid(field.x, field.y, lam0, f, Nrm / nrm, conn=conn)
     if conn is not None:
@@ -149,7 +152,7 @@ def _normal_derivatives(frame, conn, lam0):
             _ad(*frame, _mul2(w2, E3) - _mul2(E3, w2)))
 
 
-def analytic_tangents(field, conn, lam0, structure_tol=None):
+def analytic_tangents(field, conn, lam0):
     """Exact tangent fields by conjugating the lambda-scaled connection.
 
     The t-derivative of the connection at lambda = e^t multiplies the degree
@@ -158,10 +161,9 @@ def analytic_tangents(field, conn, lam0, structure_tol=None):
     y tangent is the sign-flipped degree -1 part. Norms are exactly lam0 and
     1/lam0.
     """
-    return _tangents(_frame_at(field, lam0, structure_tol)[0], conn, lam0)
+    return _tangents(_frame_at(field, lam0, None)[0], conn, lam0)
 
 
-def analytic_normal_derivatives(field, conn, lam0, structure_tol=None):
+def analytic_normal_derivatives(field, conn, lam0):
     """Exact normal derivatives by conjugating connection commutators with e3."""
-    return _normal_derivatives(_frame_at(field, lam0, structure_tol)[0], conn,
-                               lam0)
+    return _normal_derivatives(_frame_at(field, lam0, None)[0], conn, lam0)

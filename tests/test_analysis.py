@@ -52,6 +52,23 @@ def test_regular_mask_and_count(ps_run):
 
 # -- frames and angle field --------------------------------------------------
 
+def test_tangent_frame_rejects_nan_tangent(closed_129):
+    c = closed_129
+    fx = c.fx.copy()
+    fx[40, 70] = np.nan
+    S = surface_from_arrays(c.x, c.y, c.f, c.N, fx=fx, fy=c.fy)
+    with pytest.raises(ValueError, match="determinant defect nan"):
+        pf.tangent_frame(S)
+
+
+def test_complete_frame_rejects_nan_angle(ps_run):
+    frame = pf.tangent_frame(ps_run.surfaces[1.0])
+    omega = ps_run.omega.copy()
+    omega[40, 70] = np.nan
+    with pytest.raises(ValueError, match="determinant defects"):
+        pf.complete_frame(frame, omega)
+
+
 def test_tangent_frame_is_orthonormal(ps_run):
     S = ps_run.surfaces[1.0]
     fr = pf.tangent_frame(S)
@@ -237,6 +254,14 @@ def test_front_from_normal_warns_when_not_integrable():
     with pytest.warns(UserWarning, match="not integrable"):
         f, closure = pf.front_from_normal(N, 0.1, 0.1)
     assert closure.max() > 1e-4
+
+
+def test_front_from_normal_warns_on_nan_normal():
+    N = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (17, 17, 3)).copy()
+    N[4, 9] = np.nan
+    with pytest.warns(UserWarning, match="not integrable"):
+        f, closure = pf.front_from_normal(N, 0.1, 0.1)
+    assert np.isnan(closure.max())
 
 
 # -- alignment and signs -----------------------------------------------------

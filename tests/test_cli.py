@@ -253,6 +253,8 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "requires --amplitude"),
     (["verify", "--preset", "pseudosphere", "--grid", "9",
       "--tol", "bogus=1"], "unknown tolerance name"),
+    (["oracle-sg", "--preset", "pseudosphere", "--grid", "17",
+      "--max-iter", "0"], "max_iter must be at least 1"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -279,6 +281,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "vacuum_lam1_n9.obj").exists()
     assert cli.main(["generate", "--config", str(cfg), "--grid", "17"]) == 0
     assert (tmp_path / "vacuum_lam1_n17.obj").exists()
+
+
+def test_empty_config_file_keeps_every_default(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    parser = cli.build_parser()
+    with_file = cli.RunConfig.from_args(
+        parser.parse_args(["verify", "--config", str(cfg)]))
+    without = cli.RunConfig.from_args(parser.parse_args(["verify"]))
+    assert vars(with_file) == vars(without)
 
 
 # -- import cost and the benchmark tracer ------------------------------------

@@ -66,6 +66,12 @@ def test_goursat_reports_no_convergence():
         pf.goursat_solve(boundary, boundary, x, x, max_iter=2)
 
 
+def test_goursat_rejects_zero_sweeps():
+    x = np.linspace(-2.0, 2.0, 17)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        pf.goursat_solve(boundary, boundary, x, x, max_iter=0)
+
+
 def test_goursat_callable_and_array_inputs_agree():
     x = np.linspace(-2.0, 2.0, 33)
     y = np.linspace(-1.0, 1.0, 17)

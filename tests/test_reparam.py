@@ -56,6 +56,21 @@ def test_reparam_map_rejects_bad_data():
         pf.ReparamMap1D(nodes, np.abs(nodes))
     with pytest.raises(pf.ChebyshevError, match="origin"):
         pf.ReparamMap1D(nodes, nodes + 0.5)
+    s = nodes.copy()
+    s[4] = np.nan                                  # the origin node
+    with pytest.raises(pf.ChebyshevError):
+        pf.ReparamMap1D(nodes, s)
+
+
+def test_normalize_rejects_nan_variation():
+    x = np.linspace(-1.0, 1.0, 33)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    f = np.stack([X, Y, np.zeros_like(X)], axis=-1)
+    f[10, 20] = np.nan
+    N = np.broadcast_to(np.array([0.0, 0.0, 1.0]), f.shape)
+    S = pf.SurfaceGrid(x, x, 1.0, f, N)
+    with pytest.raises(pf.ChebyshevError, match="not split"):
+        pf.chebyshev_normalize(S)
 
 
 def test_reparam_map_round_trip():
@@ -120,6 +135,17 @@ def test_patch_rejects_disc_crossing_fold(ps_run):
 def test_patch_rejects_disc_leaving_grid(ps_run):
     with pytest.raises(pf.PatchError, match="leaves the grid"):
         pf.graph_patch(ps_run.surfaces[1.0], (-1.9, -1.9), 0.5)
+
+
+@pytest.mark.parametrize("exact_tangents", [True, False])
+def test_patch_rejects_nan_vertex(ps_run, exact_tangents):
+    S0 = ps_run.surfaces[1.0]
+    f = S0.f.copy()
+    f[100, 100] = np.nan
+    kw = {"fx": S0.fx, "fy": S0.fy} if exact_tangents else {}
+    S = pf.SurfaceGrid(S0.x, S0.y, 1.0, f, S0.N, **kw)
+    with pytest.raises(pf.PatchError):
+        pf.graph_patch(S, (-1.0, -1.0), 0.5)
 
 
 def test_patch_spline_derivative_route(closed_129):
