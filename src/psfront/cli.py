@@ -3,8 +3,9 @@
 Subcommands: generate (run the pipeline and write meshes), verify (residuals
 of every checked identity against tolerances, JSON summary, exit 0 iff all
 pass), export (OBJ, PLY or CSV, plus coordinate-curve polylines and frame
-glyphs), sweep (several evaluation points from one frame build) and oracle-sg
-(the direct sine-Gordon solver on preset boundary data).
+glyphs), sweep (several evaluation points from one frame build; a frame
+less unitary than verify's tolerance gets a warning) and oracle-sg (the
+direct sine-Gordon solver on preset boundary data).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
@@ -115,14 +116,11 @@ class RunConfig:
         if getattr(args, "preset", None):
             kwargs["preset"] = args.preset
             kwargs["potential"] = None
-        if getattr(args, "amplitude", None) is not None:
-            kwargs["amplitude"] = args.amplitude
+        for key in ("amplitude", "grid", "trunc"):
+            if getattr(args, key, None) is not None:
+                kwargs[key] = getattr(args, key)
         if getattr(args, "lambdas", None):
             kwargs["lambdas"] = _parse_lambdas(args.lambdas)
-        if getattr(args, "grid", None) is not None:
-            kwargs["grid"] = args.grid
-        if getattr(args, "trunc", None) is not None:
-            kwargs["trunc"] = args.trunc
         if getattr(args, "out", None):
             kwargs["out"] = args.out
         tol_args = getattr(args, "tol", None)
@@ -311,10 +309,10 @@ def _form_residuals(rep, lam, omega):
     ]
 
 
-def _checks_for(field, conn, S, lam, zcc_sup):
+def _checks_for(conn, S, lam, zcc_sup):
     """Ordered (name, residual) pairs for one evaluation point."""
     import numpy as np
-    from . import analysis, loops
+    from . import analysis
     rep = analysis.fundamental_forms(S)
     omega = _omega(conn)
     strong = np.abs(np.sin(omega)) > 0.3
@@ -323,13 +321,11 @@ def _checks_for(field, conn, S, lam, zcc_sup):
         vals = res[mask & np.isfinite(res)]
         return float(np.abs(vals).max()) if vals.size else 0.0
 
-    unit = loops.unitarity_residual(
-        loops.packed_eval(field.Uhat, -field.n_trunc, lam)[0])
     sg = analysis.sine_gordon_residual(omega, *analysis.spacing(S))
     harm, _ = analysis.harmonicity_residual(S, omega)
     tau = analysis.asymptotic_torsion(S, "x")
     return _form_residuals(rep, lam, omega) + [
-        ("unitarity residual", unit),
+        ("unitarity residual", S.unitarity),
         ("zero-curvature residual", zcc_sup),
         ("sine-Gordon residual", float(np.nanmax(np.abs(sg)))),
         ("harmonicity residual", masked(harm, rep.regular)),
@@ -350,10 +346,7 @@ def cmd_generate(args):
                   "(image degenerates to a line)", file=sys.stderr)
         stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
         path = os.path.join(cfg.out, stem + "." + args.format)
-        if args.format == "ply":
-            write_ply(path, S.f)
-        else:
-            write_obj(path, S.f)
+        (write_ply if args.format == "ply" else write_obj)(path, S.f)
         print(f"wrote {path}")
     return 0
 
@@ -369,7 +362,7 @@ def cmd_verify(args):
     first_fail = None
     for lam in cfg.lambdas:
         S = _surface(field, conn, lam)
-        checks, regular_nodes = _checks_for(field, conn, S, lam, zcc_sup)
+        checks, regular_nodes = _checks_for(conn, S, lam, zcc_sup)
         entry = {"regular nodes": regular_nodes, "checks": {}}
         for name, residual in checks:
             tol = cfg.tolerances[name]
@@ -406,14 +399,10 @@ def cmd_export(args):
     omega = _omega(conn)
     stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
     written = []
-    if args.format == "obj":
-        path = os.path.join(cfg.out, stem + ".obj")
-        write_obj(path, S.f)
-    elif args.format == "ply":
-        path = os.path.join(cfg.out, stem + ".ply")
-        write_ply(path, S.f)
+    path = os.path.join(cfg.out, stem + "." + args.format)
+    if args.format != "csv":
+        (write_ply if args.format == "ply" else write_obj)(path, S.f)
     else:
-        path = os.path.join(cfg.out, stem + ".csv")
         rep = analysis.fundamental_forms(S)
         X, Y = np.meshgrid(S.x, S.y, indexing="ij")
         header = ["x", "y", "fx", "fy", "fz", "Nx", "Ny", "Nz",
@@ -446,9 +435,13 @@ def cmd_sweep(args):
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     omega = _omega(conn)
+    unit_tol = cfg.tolerances["unitarity residual"]
     rows = []
     for lam in cfg.lambdas:
         S = _surface(field, conn, lam)
+        if not S.unitarity <= unit_tol:
+            print(f"warning: frame at lambda={lam:g} is not unitary "
+                  f"(residual {S.unitarity:.3e})", file=sys.stderr)
         rep = analysis.fundamental_forms(S)
         (_, k_res), *forms = _form_residuals(rep, lam, omega)
         rows.append([lam] + [res for _, res in forms]        # E..m, then K

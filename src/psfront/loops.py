@@ -27,8 +27,6 @@ PARITY_TOL = 1e-12                  # structural-zero entries cleaned up to it
 PIVOT_TOL = 1e-12                   # smallest invertible degree-0 coefficient
 NEUMANN_MAX_TERMS = 80
 
-I2 = np.eye(2, dtype=complex)
-
 
 class TruncationOverflowError(ValueError):
     """Requested degree window exceeds the configured maximum."""
@@ -166,13 +164,16 @@ def recip_coeffs(d, dmin, outmin, outlen):
     dropped; the error this introduces is of the same order as the window
     truncation already accepted everywhere else. A sum whose terms have not
     fallen below 1e-18 after NEUMANN_MAX_TERMS raises SingularSeriesError, as
-    does a degree-0 coefficient below PIVOT_TOL.
+    do a degree-0 coefficient below PIVOT_TOL and a NaN or infinite
+    coefficient anywhere.
     """
     i0 = -dmin
     if not 0 <= i0 < d.shape[-1]:
         raise SingularSeriesError("series has no degree-0 coefficient")
+    if not np.isfinite(d).all():
+        raise SingularSeriesError("series has a non-finite coefficient")
     d0 = d[..., i0].copy()
-    if np.abs(d0).min() < PIVOT_TOL:
+    if not np.abs(d0).min() >= PIVOT_TOL:
         raise SingularSeriesError(
             f"degree-0 coefficient below {PIVOT_TOL:g}, series not invertible")
     e = -d / d0[..., None]
@@ -230,10 +231,14 @@ def packed_eval(p, kmin, lam):
 
 
 def unitarity_residual(Ue):
-    """max(|U U^H - I|, |det U - 1|) over a batch of evaluated loops."""
-    un = sup_abs(np.einsum("...ab,...cb->...ac", Ue, Ue.conj()) - I2)
-    det = Ue[..., 0, 0] * Ue[..., 1, 1] - Ue[..., 0, 1] * Ue[..., 1, 0]
-    return max(un, sup_abs(det - 1.0))
+    """max(|U U^H - I|, |det U - 1|) over a batch of evaluated loops; NaN
+    if U has one. U U^H is Hermitian, so its (1, 0) entry is left out."""
+    u00, u01, u10, u11 = Ue[..., 0, 0], Ue[..., 0, 1], Ue[..., 1, 0], Ue[..., 1, 1]
+    return float(np.max([
+        sup_abs(u00 * u00.conj() + u01 * u01.conj() - 1.0),
+        sup_abs(u00 * u10.conj() + u01 * u11.conj()),
+        sup_abs(u10 * u10.conj() + u11 * u11.conj() - 1.0),
+        sup_abs(u00 * u11 - u01 * u10 - 1.0)]))
 
 
 def _parity_zeros(kmin, n):
@@ -322,7 +327,7 @@ class TwistedLoop:
 
 
 def identity_loop():
-    return TwistedLoop(0, I2[None])
+    return TwistedLoop(0, np.eye(2)[None])
 
 
 def from_coeff(deg, mat):

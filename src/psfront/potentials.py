@@ -177,13 +177,10 @@ def preset_c0_kink(amplitude, interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
         interval=interval, step=step, name=f"c0_kink[{a:g}]")
 
 
-_PRESETS = {
-    "pseudosphere": lambda opts, interval, step:
-        preset_pseudosphere(interval, step),
-    "vacuum": lambda opts, interval, step:
-        preset_vacuum(interval, step),
-    "c0_kink": lambda opts, interval, step:
-        preset_c0_kink(opts.get("amplitude", 1.0), interval, step),
+_PRESETS = {                    # (amplitude, interval, step) -> spec
+    "pseudosphere": lambda a, interval, step: preset_pseudosphere(interval, step),
+    "vacuum": lambda a, interval, step: preset_vacuum(interval, step),
+    "c0_kink": preset_c0_kink,
 }
 
 
@@ -191,8 +188,8 @@ def preset_by_name(name, amplitude=None, interval=DEFAULT_INTERVAL,
                    step=DEFAULT_STEP):
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {sorted(_PRESETS)}")
-    opts = {} if amplitude is None else {"amplitude": amplitude}
-    return _PRESETS[name](opts, interval, step)
+    return _PRESETS[name](1.0 if amplitude is None else amplitude, interval,
+                          step)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +212,10 @@ def from_json(source):
     step = float(obj.get("step", DEFAULT_STEP))
     interval = tuple(obj.get("interval", DEFAULT_INTERVAL))
     interp = obj.get("interpolation", "piecewise-linear")
-    sides = {}
     for key in ("alpha", "beta"):
         if key not in obj:
             raise ValueError(f"potential config missing {key!r}")
-        sides[key] = obj[key]
-    a, b = sides["alpha"], sides["beta"]
+    a, b = obj["alpha"], obj["beta"]
     if "preset" in a or "preset" in b:
         if a.get("preset") != b.get("preset"):
             # mixed preset/sample sides: realize each side separately

@@ -62,10 +62,7 @@ class ChebyshevResult:
 
 
 def _resample(x, y, field, xs, ys):
-    from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
-    comps = [RectBivariateSpline(x, y, field[..., k])(xs, ys) for k in
-             range(field.shape[-1])]
-    return np.stack(comps, axis=-1)
+    return _SplineVec(x, y, field)(xs, ys, grid=True)
 
 
 def chebyshev_normalize(S):
@@ -178,14 +175,14 @@ class _SplineVec:
     """Componentwise bivariate spline evaluation of a vector field."""
 
     def __init__(self, x, y, field):
-        from scipy.interpolate import RectBivariateSpline
+        from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
         self.splines = [RectBivariateSpline(x, y, field[..., k])
                         for k in range(field.shape[-1])]
 
-    def __call__(self, xs, ys, dx=0, dy=0):
+    def __call__(self, xs, ys, dx=0, dy=0, grid=False):
         xs = np.asarray(xs, float)
         ys = np.asarray(ys, float)
-        return np.stack([s(xs, ys, dx=dx, dy=dy, grid=False)
+        return np.stack([s(xs, ys, dx=dx, dy=dy, grid=grid)
                          for s in self.splines], axis=-1)
 
 
@@ -194,16 +191,21 @@ def graph_patch(S, center, radius):
 
     The parameter disc of the given radius must lie inside the grid, stay on
     one sheet of the front and keep clear of the cusp lines; violations raise
-    PatchError (reduce the radius or move the center). See
+    PatchError (reduce the radius or move the center), and so does a NaN or
+    infinite sample of f, N, or of f_x and f_y when they are attached. See
     graph_patch_evaluated for the chart construction itself.
     """
+    for name in ("f", "N", "fx", "fy"):
+        fld = getattr(S, name)
+        bad = [] if fld is None else np.argwhere(~np.isfinite(fld).all(-1))
+        if len(bad):
+            raise PatchError(f"surface field {name} is not finite at node "
+                             f"{tuple(bad[0].tolist())}")
     f_ev = _SplineVec(S.x, S.y, S.f)
     N_ev = _SplineVec(S.x, S.y, S.N)
     if S.fx is not None and S.fy is not None:
-        fx_s = _SplineVec(S.x, S.y, S.fx)
-        fy_s = _SplineVec(S.x, S.y, S.fy)
-        fx_ev = lambda xs, ys: fx_s(xs, ys)
-        fy_ev = lambda xs, ys: fy_s(xs, ys)
+        fx_ev = _SplineVec(S.x, S.y, S.fx)
+        fy_ev = _SplineVec(S.x, S.y, S.fy)
     else:
         fx_ev = lambda xs, ys: f_ev(xs, ys, dx=1)
         fy_ev = lambda xs, ys: f_ev(xs, ys, dy=1)

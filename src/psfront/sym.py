@@ -1,15 +1,27 @@
 """Immersion and normal fields from the frame via the lambda-derivative formula.
 
-The moving frame lives in a loop of SU(2); differentiating in the loop
-parameter at a fixed evaluation point lambda0 and conjugating produces the
-surface immersion, while conjugating the diagonal Lie-algebra generator
-produces its unit normal. Tangent vectors come from conjugating the connection
-coefficients, which keeps the first fundamental form exact instead of
-finite-difference accurate.
+Sym's formula gives the immersion f = U_hat_t U_hat^{-1}, the t-derivative
+taken along lambda = e^t at a fixed lambda0. Every other field is the adjoint
+action of U_hat(lambda0), which on su(2) = R^3 is one rotation R per node.
+With a = U_hat_00, b = U_hat_01 and d = |a|^2 + |b|^2 the real form gives
+U_hat^{-1} = U_hat^H / d, so R is a rotation whatever d is:
 
-U_hat(lambda0) and its t-derivative come from one packed_eval of the frame
-field, and all six fields are conjugated by U_hat(lambda0) and its inverse,
-one field at a time, with 2x2 products written out entry by entry.
+    R e1 = (Re(a^2 - b^2), Im(a^2 - b^2), 2 Re(a conj(b))) / d
+    R e2 = (-Im(a^2 + b^2), Re(a^2 + b^2), -2 Im(a conj(b))) / d
+    R e3 = (-2 Re(a b), -2 Im(a b), |a|^2 - |b|^2) / d
+
+The normal is N = R e3. The connection coefficients of frames.ConnectionField
+are omega1_c1 = (cos alpha, -sin alpha, 0) and omega2_cm1 = -(cos phihat,
+sin phihat, 0); a bracket with e3 is a cross product with e3, so the diagonal
+r term drops out, and the exact tangents and normal derivatives are
+
+    f_x = lambda0 (cos alpha R e1 - sin alpha R e2)
+    f_y = (cos phihat R e1 + sin phihat R e2) / lambda0
+    N_x = -lambda0 (sin alpha R e1 + cos alpha R e2)
+    N_y = (cos phihat R e2 - sin phihat R e1) / lambda0
+
+Only f can leave su(2), since its trace is the t-derivative of log d, so it
+is the one field that passes the su(2) gate of su2_to_r3.
 
 The su(2) to R^3 identification uses the orthonormal basis
 
@@ -23,7 +35,7 @@ import numpy as np
 
 from .frames import tail_tolerance
 # eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
-from .loops import eval_coeffs, mat_inv2, packed_eval, sup_abs
+from .loops import eval_coeffs, packed_eval, sup_abs, unitarity_residual
 
 E1 = 0.5 * np.array([[0, 1j], [1j, 0]])
 E2 = 0.5 * np.array([[0, -1], [1, 0]])
@@ -54,8 +66,9 @@ class SurfaceGrid:
 
     f and N have shape (nx, ny, 3). Analytic tangent and normal-derivative
     fields are attached when the connection is available; consumers fall back
-    to finite differences when they are absent. A normal whose norm misses 1
-    by more than NORMAL_TOL, or is NaN, raises StructureError.
+    to finite differences when they are absent, and so is unitarity, the
+    loops.unitarity_residual of the frame they came from. A normal whose norm
+    misses 1 by more than NORMAL_TOL, or is NaN, raises StructureError.
     """
 
     def __init__(self, x, y, lam0, f, N, fx=None, fy=None, Nx=None, Ny=None,
@@ -70,6 +83,7 @@ class SurfaceGrid:
         self.Nx = Nx
         self.Ny = Ny
         self.conn = conn
+        self.unitarity = None
         norm_defect = sup_abs(np.linalg.norm(N, axis=-1) - 1.0)
         if not norm_defect <= NORMAL_TOL:
             raise StructureError(
@@ -86,74 +100,62 @@ class SurfaceGrid:
                 f"lam0={self.lam0:g})")
 
 
-def _structure_tol(field, lam0):
-    reach = max(np.abs(field.x).max(), np.abs(field.y).max())
-    amp = max(lam0, 1.0 / lam0)
-    return tail_tolerance(1e-8, field.n_trunc, reach, amp)
-
-
-def _mul2(A, B):
-    """Batched 2x2 matrix product written entry by entry; shapes broadcast."""
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape), complex)
-    for r in range(2):
-        for c in range(2):
-            out[..., r, c] = (A[..., r, 0] * B[..., 0, c]
-                              + A[..., r, 1] * B[..., 1, c])
-    return out
-
-
 def _frame_at(field, lam0, structure_tol):
-    """(U_hat(lam0), its inverse, the structure tolerance), and U_hat_t."""
+    """f, the rotation columns (R e1, R e2, N) and U_hat, from one packed_eval.
+
+    f passes the su(2) gate and N the norm check at structure_tol, by default
+    the truncation-tail tolerance of the field at lam0.
+    """
+    if not lam0 > 0:
+        raise ValueError("evaluation point must be positive")
     if structure_tol is None:
-        structure_tol = _structure_tol(field, lam0)
+        reach = max(np.abs(field.x).max(), np.abs(field.y).max())
+        structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
+                                       max(lam0, 1.0 / lam0))
     Ue, Ut = packed_eval(field.Uhat, -field.n_trunc, lam0)
-    return (Ue, mat_inv2(Ue), structure_tol), Ut
-
-
-def _ad(Ue, Ui, tol, W):
-    """R^3 coordinates of U_hat W U_hat^{-1}, structure-checked."""
-    return su2_to_r3(_mul2(_mul2(Ue, W), Ui), tol=tol)
+    a, b, at, bt = Ue[..., 0, 0], Ue[..., 0, 1], Ut[..., 0, 0], Ut[..., 0, 1]
+    aa, bb = (a * a.conj()).real, (b * b.conj()).real
+    inv_d = 1.0 / (aa + bb)
+    # U_t U^H / d = [[s, t], [-conj(t), conj(s)]], with Re s = (log d)_t / 2
+    s = (at * a.conj() + bt * b.conj()) * inv_d
+    t = (bt * a - at * b) * inv_d
+    f = su2_to_r3(np.stack([s, t, -t.conj(), s.conj()], -1)
+                  .reshape(s.shape + (2, 2)), tol=structure_tol)
+    sq, dsq, ab, abc = a * a + b * b, a * a - b * b, a * b, a * b.conj()
+    R = [np.stack(col, -1) * inv_d[..., None] for col in (
+        (dsq.real, dsq.imag, 2 * abc.real),
+        (-sq.imag, sq.real, -2 * abc.imag),
+        (-2 * ab.real, -2 * ab.imag, aa - bb))]
+    defect = sup_abs(np.linalg.norm(R[2], axis=-1) - 1.0)
+    if not defect <= max(NORMAL_TOL, structure_tol):
+        raise StructureError(f"normal norm defect {defect:.3e}")
+    return f, R, Ue
 
 
 def sym_immersion(field, lam0, conn=None, structure_tol=None):
     """Surface and unit normal at evaluation point lam0 > 0.
 
-    The immersion is f = U_hat_t U_hat^{-1} with the t-derivative taken along
-    lambda = e^t, i.e. degree k scaled by k lam0^k; the normal conjugates e3.
-    With a connection given, exact tangent and normal-derivative fields are
-    attached to the returned SurfaceGrid. U_hat(lam0) and its inverse are
-    evaluated once and shared by every conjugated field.
+    The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k.
+    The returned SurfaceGrid carries the unitarity residual of U_hat(lam0),
+    and with a connection given, the exact tangent and normal-derivative
+    fields.
     """
-    if not lam0 > 0:
-        raise ValueError("evaluation point must be positive")
-    frame, Ut = _frame_at(field, lam0, structure_tol)
-    _, Ui, tol = frame
-    f = su2_to_r3(_mul2(Ut, Ui), tol=tol)
-    Nrm = _ad(*frame, E3)
-    nrm = np.linalg.norm(Nrm, axis=-1, keepdims=True)
-    if not sup_abs(nrm - 1.0) <= max(NORMAL_TOL, tol):
-        raise StructureError(f"normal norm defect {sup_abs(nrm - 1.0):.3e}")
-    S = SurfaceGrid(field.x, field.y, lam0, f, Nrm / nrm, conn=conn)
+    f, R, Ue = _frame_at(field, lam0, structure_tol)
+    S = SurfaceGrid(field.x, field.y, lam0, f, R[2], conn=conn)
+    S.unitarity = unitarity_residual(Ue)
     if conn is not None:
-        S.fx, S.fy = _tangents(frame, conn, lam0)
-        S.Nx, S.Ny = _normal_derivatives(frame, conn, lam0)
+        ca = np.cos(conn.alpha)[:, None, None]
+        sa = np.sin(conn.alpha)[:, None, None]
+        cp, sp = np.cos(conn.phihat)[..., None], np.sin(conn.phihat)[..., None]
+        S.fx = lam0 * (ca * R[0] - sa * R[1])
+        S.fy = (cp * R[0] + sp * R[1]) / lam0
+        S.Nx = -lam0 * (sa * R[0] + ca * R[1])
+        S.Ny = (cp * R[1] - sp * R[0]) / lam0
     return S
 
 
-def _tangents(frame, conn, lam0):
-    return (_ad(*frame, lam0 * conn.omega1_c1),
-            _ad(*frame, -conn.omega2_cm1 / lam0))
-
-
-def _normal_derivatives(frame, conn, lam0):
-    w1 = conn.omega1_c0 + lam0 * conn.omega1_c1
-    w2 = conn.omega2_cm1 / lam0
-    return (_ad(*frame, _mul2(w1, E3) - _mul2(E3, w1)),
-            _ad(*frame, _mul2(w2, E3) - _mul2(E3, w2)))
-
-
 def analytic_tangents(field, conn, lam0):
-    """Exact tangent fields by conjugating the lambda-scaled connection.
+    """Exact tangent fields f_x, f_y of sym_immersion: the rotated connection.
 
     The t-derivative of the connection at lambda = e^t multiplies the degree
     +1 coefficient by lam0 and the degree -1 coefficient by -1/lam0; the x
@@ -161,9 +163,11 @@ def analytic_tangents(field, conn, lam0):
     y tangent is the sign-flipped degree -1 part. Norms are exactly lam0 and
     1/lam0.
     """
-    return _tangents(_frame_at(field, lam0, None)[0], conn, lam0)
+    S = sym_immersion(field, lam0, conn=conn)
+    return S.fx, S.fy
 
 
 def analytic_normal_derivatives(field, conn, lam0):
-    """Exact normal derivatives by conjugating connection commutators with e3."""
-    return _normal_derivatives(_frame_at(field, lam0, None)[0], conn, lam0)
+    """Exact normal derivatives N_x, N_y of sym_immersion."""
+    S = sym_immersion(field, lam0, conn=conn)
+    return S.Nx, S.Ny

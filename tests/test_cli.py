@@ -224,6 +224,21 @@ def test_sweep_builds_frame_once(tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 0], [0.5, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("trunc, warned", [(4, True), (16, False)])
+def test_sweep_warns_on_a_non_unitary_frame(tmp_path, capsys, trunc, warned):
+    rc = cli.main(["sweep", "--preset", "pseudosphere", "--grid", "33",
+                   "--trunc", str(trunc), "--lambda", "0.5,1,2",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert ("warning: frame at lambda=0.5 is not unitary (residual "
+            in err) is warned
+    assert ("not unitary" in err) is warned
+    header = (tmp_path / "sweep_pseudosphere_n33.csv").read_text().split("\n")[0]
+    assert header == ("lambda,E_defect,G_defect,F_defect,ell_max,n_max,"
+                      "m_defect,K_defect,regular_nodes")
+
+
 def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
     rc = cli.main(["oracle-sg", "--preset", "pseudosphere", "--grid", "33",
                    "--out-csv", "--out", str(tmp_path)])

@@ -182,6 +182,17 @@ def test_scalar_reciprocal_requires_pivot():
         pf.scalar_reciprocal(d, (-2, 2))
 
 
+def test_scalar_reciprocal_rejects_nan_pivot():
+    with pytest.raises(SingularSeriesError, match="non-finite"):
+        loops.recip_coeffs(np.array([0.1, np.nan, 0.1]), -1, -2, 5)
+
+
+def test_scalar_reciprocal_rejects_non_finite_coefficient():
+    d = ScalarLaurent(-1, np.array([np.inf, 1.0, 0.1]))   # finite pivot
+    with pytest.raises(SingularSeriesError, match="non-finite"):
+        pf.scalar_reciprocal(d, (-4, 4))
+
+
 # -- inverses ----------------------------------------------------------------
 
 def test_inverse_of_constant_rotation():
@@ -268,6 +279,22 @@ def test_one_unitarity_residual_serves_loops_and_frames():
     from psfront import frames
     assert frames.unitarity_residual is loops.unitarity_residual
     assert pf.unitarity_check(exp_loop(1.0), ()) == 0.0
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_unitarity_residual_sees_nan_in_any_entry(entry):
+    U = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+    U[1][entry] = np.nan
+    assert np.isnan(loops.unitarity_residual(U))
+
+
+def test_unitarity_residual_matches_matrix_form():
+    rng = np.random.default_rng(5)
+    U = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    un = np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(2)).max()
+    det = np.abs(np.linalg.det(U) - 1.0).max()
+    assert loops.unitarity_residual(U) == pytest.approx(max(un, det),
+                                                        rel=1e-14)
 
 
 # -- structure validation ----------------------------------------------------

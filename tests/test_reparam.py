@@ -148,6 +148,19 @@ def test_patch_rejects_nan_vertex(ps_run, exact_tangents):
         pf.graph_patch(S, (-1.0, -1.0), 0.5)
 
 
+@pytest.mark.parametrize("name", ["f", "N", "fx", "fy"])
+def test_patch_names_the_non_finite_field(ps_run, name):
+    S0 = ps_run.surfaces[1.0]
+    fields = {k: getattr(S0, k).copy() for k in ("f", "N", "fx", "fy")}
+    fields[name][100, 100] = np.nan
+    S = pf.SurfaceGrid(S0.x, S0.y, 1.0, fields["f"], S0.N,
+                       fx=fields["fx"], fy=fields["fy"])
+    S.N = fields["N"]                   # past the constructor's normal gate
+    with pytest.raises(pf.PatchError,
+                       match=rf"field {name} is not finite at node \(100, 100\)"):
+        pf.graph_patch(S, (-1.0, -1.0), 0.5)
+
+
 def test_patch_spline_derivative_route(closed_129):
     # no tangent fields stored: derivatives come from the position splines
     c = closed_129

@@ -1,9 +1,12 @@
 """Immersion and normal from the frame family, su(2) conversions, tangents."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psfront as pf
 from psfront import loops, sym
@@ -205,3 +208,67 @@ def test_structure_checks_see_a_perturbed_frame(ps_run):
     field.Uhat[6, 5, field.n_trunc] = np.nan
     with pytest.raises(StructureError):
         pf.analytic_tangents(field, ps_run.conn, 1.0)
+
+
+# -- the SO(3) rotation of the frame -----------------------------------------
+
+def packed_frame(a, b):
+    """One-node frame field, trunc 1, with U_hat(1) = [[a, b], [-conj b, conj a]]."""
+    Uhat = np.array([[[0.5 * b, a, 0.5 * b]]])     # degrees -1, 0, 1
+    return SimpleNamespace(x=np.zeros(1), y=np.zeros(1), n_trunc=1, Uhat=Uhat)
+
+
+unit_range = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(unit_range, unit_range, unit_range, unit_range)
+       .filter(lambda c: 0.1 <= sum(v * v for v in c)),
+       st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
+def test_rotation_of_a_non_unit_frame(c, v):
+    a, b = complex(c[0], c[1]), complex(c[2], c[3])
+    _, cols, Ue = sym._frame_at(packed_frame(a, b), 1.0, np.inf)
+    R = np.stack([col[0, 0] for col in cols], axis=-1)
+    np.testing.assert_allclose(Ue[0, 0], [[a, b], [-np.conj(b), np.conj(a)]])
+    assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
+    assert abs(np.linalg.det(R) - 1.0) < 1e-14
+    X = v[0] * E1 + v[1] * E2 + v[2] * E3
+    U = Ue[0, 0]
+    want = pf.su2_to_r3(U @ X @ np.linalg.inv(U))
+    np.testing.assert_allclose(R @ np.array(v), want, atol=1e-14)
+
+
+@pytest.mark.parametrize("run_name", ["ps_run", "kink_run"])
+def test_connection_vectors_in_closed_form(run_name, request):
+    conn = request.getfixturevalue(run_name).conn
+    alpha = np.broadcast_to(conn.alpha[:, None], conn.phihat.shape)
+    zero = np.zeros_like(conn.phihat)
+    np.testing.assert_allclose(
+        pf.su2_to_r3(conn.omega1_c1),
+        np.stack([np.cos(alpha), -np.sin(alpha), zero], -1), atol=1e-15)
+    np.testing.assert_allclose(
+        pf.su2_to_r3(conn.omega2_cm1),
+        np.stack([-np.cos(conn.phihat), -np.sin(conn.phihat), zero], -1),
+        atol=1e-15)
+
+
+def test_one_su2_gate_per_lambda(ps_run, monkeypatch):
+    calls = []
+    orig = sym.su2_to_r3
+
+    def counting(X, tol=1e-8):
+        calls.append(X.shape)
+        return orig(X, tol=tol)
+
+    monkeypatch.setattr(sym, "su2_to_r3", counting)
+    for lam in (0.5, 2.0):
+        pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
+    assert calls == [(129, 129, 2, 2)] * 2
+
+
+def test_surface_carries_frame_unitarity(ps_run, kink_run):
+    for run in (ps_run, kink_run):
+        for lam, S in run.surfaces.items():
+            Ue = loops.packed_eval(run.field.Uhat, -run.field.n_trunc, lam)[0]
+            assert S.unitarity == loops.unitarity_residual(Ue)
+    assert ps_run.surfaces[1.0].unitarity < 1e-12
