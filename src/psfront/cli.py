@@ -9,11 +9,14 @@ direct sine-Gordon solver on preset boundary data).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
-build the quad face block once per grid shape. Heavy imports happen after the
+build the quad face block once per grid shape. generate and sweep format their
+meshes in up to two worker processes while the next lambda is computed, and
+print the "wrote" lines in lambda order. Heavy imports happen after the
 thread override so PSFRONT_THREADS can cap the BLAS pool.
 """
 
 import argparse
+import collections
 import functools
 import json
 import os
@@ -79,9 +82,15 @@ class RunConfig:
             raise ConfigError(f"truncation degree must be >= 1, got {self.trunc}")
         if not self.lambdas:
             raise ConfigError("at least one lambda value is required")
+        labels = {}
         for lam in self.lambdas:
             if not lam > 0:
                 raise ConfigError(f"lambda values must be positive, got {lam:g}")
+            label = f"{lam:g}"
+            if label in labels:
+                raise ConfigError(f"lambda values {labels[label]!r} and {lam!r} "
+                                  f"share the file label '{label}'")
+            labels[label] = lam
         for k, v in self.tolerances.items():
             if not v > 0:
                 raise ConfigError(f"tolerance '{k}' must be positive, got {v:g}")
@@ -236,6 +245,43 @@ def write_ply(path, f):
         fh.writelines(_quad_faces(nx, ny, "4 ", 0))
 
 
+def _write_mesh(writer, path, f):
+    """Worker task: the module's writer of that name (write_obj or write_ply)."""
+    globals()[writer](path, f)
+
+
+def _write_meshes(jobs):
+    """Write each (writer name, path, f) of jobs in a worker process.
+
+    The next job is computed while up to two workers format the earlier ones;
+    at most two meshes per worker are in flight. "wrote path" is printed in
+    job order as each one lands, and a worker's exception is re-raised here.
+    The workers are forked, so they inherit the loaded writers and start at
+    once; they only format text, and call no BLAS, whose threads a fork
+    does not carry over.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(2, len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    pending = collections.deque()
+
+    def land():
+        path, future = pending.popleft()
+        future.result()
+        print(f"wrote {path}")
+
+    try:
+        for writer, path, f in jobs:
+            if len(pending) == 2 * workers:
+                land()
+            pending.append((path, pool.submit(_write_mesh, writer, path, f)))
+        while pending:
+            land()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def read_ply(path):
     """Parse an ASCII PLY written by write_ply; returns (vertices, faces)."""
     import numpy as np
@@ -338,16 +384,19 @@ def cmd_generate(args):
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     from . import analysis
-    for lam in cfg.lambdas:
-        S = _surface(field, conn, lam)
-        rep = analysis.fundamental_forms(S)
-        if rep.regular_count == 0:
-            print(f"warning: surface at lambda={lam:g} is not regular "
-                  "(image degenerates to a line)", file=sys.stderr)
-        stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
-        path = os.path.join(cfg.out, stem + "." + args.format)
-        (write_ply if args.format == "ply" else write_obj)(path, S.f)
-        print(f"wrote {path}")
+
+    def meshes():
+        for lam in cfg.lambdas:
+            S = _surface(field, conn, lam)
+            rep = analysis.fundamental_forms(S)
+            if rep.regular_count == 0:
+                print(f"warning: surface at lambda={lam:g} is not regular "
+                      "(image degenerates to a line)", file=sys.stderr)
+            stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
+            yield ("write_" + args.format,
+                   os.path.join(cfg.out, stem + "." + args.format), S.f)
+
+    _write_meshes(meshes())
     return 0
 
 
@@ -437,20 +486,22 @@ def cmd_sweep(args):
     omega = _omega(conn)
     unit_tol = cfg.tolerances["unitarity residual"]
     rows = []
-    for lam in cfg.lambdas:
-        S = _surface(field, conn, lam)
-        if not S.unitarity <= unit_tol:
-            print(f"warning: frame at lambda={lam:g} is not unitary "
-                  f"(residual {S.unitarity:.3e})", file=sys.stderr)
-        rep = analysis.fundamental_forms(S)
-        (_, k_res), *forms = _form_residuals(rep, lam, omega)
-        rows.append([lam] + [res for _, res in forms]        # E..m, then K
-                    + [k_res, float(rep.regular_count)])
-        if args.mesh:
-            path = os.path.join(cfg.out,
-                                f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj")
-            write_obj(path, S.f)
-            print(f"wrote {path}")
+
+    def meshes():
+        for lam in cfg.lambdas:
+            S = _surface(field, conn, lam)
+            if not S.unitarity <= unit_tol:
+                print(f"warning: frame at lambda={lam:g} is not unitary "
+                      f"(residual {S.unitarity:.3e})", file=sys.stderr)
+            rep = analysis.fundamental_forms(S)
+            (_, k_res), *forms = _form_residuals(rep, lam, omega)
+            rows.append([lam] + [res for _, res in forms]    # E..m, then K
+                        + [k_res, float(rep.regular_count)])
+            if args.mesh:
+                yield ("write_obj", os.path.join(
+                    cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), S.f)
+
+    _write_meshes(meshes())
     header = ["lambda", "E_defect", "G_defect", "F_defect", "ell_max",
               "n_max", "m_defect", "K_defect", "regular_nodes"]
     path = os.path.join(cfg.out, f"sweep_{cfg.name}_n{cfg.grid}.csv")
@@ -552,7 +603,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"psfront: error: {exc}", file=sys.stderr)
         return 2
 

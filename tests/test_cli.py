@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -270,6 +271,9 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
       "--tol", "bogus=1"], "unknown tolerance name"),
     (["oracle-sg", "--preset", "pseudosphere", "--grid", "17",
       "--max-iter", "0"], "max_iter must be at least 1"),
+    (["sweep", "--preset", "vacuum", "--grid", "9", "--mesh",
+      "--lambda", "1.00001,1.000012"],
+     "lambda values 1.00001 and 1.000012 share the file label '1.00001'"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -308,27 +312,109 @@ def test_empty_config_file_keeps_every_default(tmp_path):
     assert vars(with_file) == vars(without)
 
 
+def test_out_path_under_a_regular_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"
+    rc = cli.main(["verify", "--preset", "vacuum", "--grid", "9",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psfront: error: ")
+    assert str(out) in err
+
+
+# -- the mesh writer pool ----------------------------------------------------
+
+@pytest.mark.parametrize("command, fmt", [
+    ("sweep", "obj"), ("generate", "obj"), ("generate", "ply")])
+def test_pool_writes_the_bytes_of_serial_writers(tmp_path, capsys, command,
+                                                 fmt):
+    lams = [2.0, 0.5, 1.5, 0.75, 1.0, 1.25]       # not sorted: order is kept
+    argv = ["--preset", "pseudosphere", "--grid", "17",
+            "--lambda", ",".join(map(repr, lams)), "--out", str(tmp_path)]
+    extra = ["--mesh"] if command == "sweep" else ["--format", fmt]
+    assert cli.main([command] + argv + extra) == 0
+    paths = [tmp_path / f"pseudosphere_lam{lam:g}_n17.{fmt}" for lam in lams]
+    wrote = [f"wrote {p}" for p in paths]
+    if command == "sweep":
+        wrote.append(f"wrote {tmp_path / 'sweep_pseudosphere_n17.csv'}")
+    assert capsys.readouterr().out.splitlines() == wrote
+    assert multiprocessing.active_children() == []
+    cfg = cli.RunConfig.from_args(cli.build_parser().parse_args(
+        [command] + argv))
+    field, conn = cli._build_state(cfg)
+    ref = tmp_path / "serial"
+    for lam, path in zip(lams, paths):
+        getattr(cli, "write_" + fmt)(ref, cli._surface(field, conn, lam).f)
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
+    limit = 2 * min(2, len(os.sched_getaffinity(0)))   # two per worker
+    f = awkward_mesh(5, 4)
+    landed = []
+
+    def jobs():
+        for k in range(12):
+            landed.extend(capsys.readouterr().out.splitlines())
+            assert k - len(landed) <= limit
+            yield "write_obj", tmp_path / f"m{k}.obj", f
+
+    cli._write_meshes(jobs())
+    landed.extend(capsys.readouterr().out.splitlines())
+    assert landed == [f"wrote {tmp_path / f'm{k}.obj'}" for k in range(12)]
+    for k in range(12):
+        assert (tmp_path / f"m{k}.obj").read_bytes() == ref_obj(f).encode()
+
+
+def test_worker_write_error_exits_2(tmp_path, capsys):
+    (tmp_path / "vacuum_lam2_n9.obj").mkdir()     # the worker cannot open it
+    rc = cli.main(["generate", "--preset", "vacuum", "--grid", "9",
+                   "--lambda", "1,2,3", "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == f"wrote {tmp_path / 'vacuum_lam1_n9.obj'}\n"
+    assert "psfront: error: " in err
+    assert "vacuum_lam2_n9.obj" in err
+    assert multiprocessing.active_children() == []
+
+
 # -- import cost and the benchmark tracer ------------------------------------
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
+def modules_loaded_by_cli_import(names):
     src = os.path.dirname(os.path.dirname(psfront.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, psfront.cli; print('scipy.interpolate' in sys.modules)"],
+         "import sys, psfront.cli; "
+         f"print([m for m in {names!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
-def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
-    # the tracer wraps module attributes by name; a missing one raises
-    # AttributeError in install
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert modules_loaded_by_cli_import(["scipy.interpolate"]) == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    assert modules_loaded_by_cli_import(
+        ["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+def load_traced(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # traced.py prepends src
     path = Path(__file__).resolve().parents[1] / "psbench" / "traced.py"
     spec = importlib.util.spec_from_file_location("psbench_traced", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
+    return traced
+
+
+def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
+    # the tracer wraps module attributes by name; a missing one raises
+    # AttributeError in install
+    traced = load_traced(monkeypatch)
     tracer = traced.Tracer()
     traced.install(tracer)
     saved = [(owner, attr, orig) for owner, attr, orig in tracer._restore]
@@ -336,3 +422,18 @@ def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
     tracer.unwrap()
     for owner, attr, orig in saved:
         assert getattr(owner, attr) is orig
+
+
+def test_traced_sweep_writes_its_meshes(tmp_path, monkeypatch):
+    # forked workers inherit the traced writers; their spans stay in the
+    # workers, so cli.write sees the CSV alone
+    traced = load_traced(monkeypatch)
+    result = traced.traced_cli(["sweep", "--preset", "pseudosphere",
+                                "--grid", "17", "--lambda", "0.5,1,2",
+                                "--mesh", "--out", str(tmp_path)])
+    assert result["rc"] == 0
+    assert sorted(p.name for p in tmp_path.glob("*.obj")) == [
+        f"pseudosphere_lam{lam}_n17.obj" for lam in ("0.5", "1", "2")]
+    csv = tmp_path / "sweep_pseudosphere_n17.csv"
+    assert result["metrics"]["cli.bytes_written"] == csv.stat().st_size
+    assert multiprocessing.active_children() == []

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psfront as pf
@@ -213,8 +213,9 @@ def test_structure_checks_see_a_perturbed_frame(ps_run):
 # -- the SO(3) rotation of the frame -----------------------------------------
 
 def packed_frame(a, b):
-    """One-node frame field, trunc 1, with U_hat(1) = [[a, b], [-conj b, conj a]]."""
-    Uhat = np.array([[[0.5 * b, a, 0.5 * b]]])     # degrees -1, 0, 1
+    """One-node frame field, trunc 1, with U_hat(1) = [[a, b], [-conj b, conj a]]
+    exactly: b sits on degree 1 alone, so no halving can underflow it."""
+    Uhat = np.array([[[0.0, a, b]]])               # degrees -1, 0, 1
     return SimpleNamespace(x=np.zeros(1), y=np.zeros(1), n_trunc=1, Uhat=Uhat)
 
 
@@ -225,6 +226,7 @@ unit_range = st.floats(-2.0, 2.0)
 @given(st.tuples(unit_range, unit_range, unit_range, unit_range)
        .filter(lambda c: 0.1 <= sum(v * v for v in c)),
        st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
+@example(c=(0.0, 1.0, 0.0, 5e-324), v=(0.0, 1.0, 0.0))
 def test_rotation_of_a_non_unit_frame(c, v):
     a, b = complex(c[0], c[1]), complex(c[2], c[3])
     _, cols, Ue = sym._frame_at(packed_frame(a, b), 1.0, np.inf)
