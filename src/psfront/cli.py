@@ -9,10 +9,11 @@ direct sine-Gordon solver on preset boundary data).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
-build the quad face block once per grid shape. generate and sweep format their
-meshes in up to two worker processes while the next lambda is computed, and
-print the "wrote" lines in lambda order. Heavy imports happen after the
-thread override so PSFRONT_THREADS can cap the BLAS pool.
+build the quad face block once per grid shape. generate and sweep format two
+or more meshes in up to two worker processes while the next lambda is
+computed, and print the "wrote" lines in lambda order; a single mesh is
+written in process. Heavy imports happen after the thread override so
+PSFRONT_THREADS can cap the BLAS pool.
 """
 
 import argparse
@@ -245,25 +246,40 @@ def write_ply(path, f):
         fh.writelines(_quad_faces(nx, ny, "4 ", 0))
 
 
-def _write_mesh(writer, path, f):
-    """Worker task: the module's writer of that name (write_obj or write_ply)."""
-    globals()[writer](path, f)
+def _writer_pool():
+    """A process pool of min(2, usable cores) writers, and its size.
 
-
-def _write_meshes(jobs):
-    """Write each (writer name, path, f) of jobs in a worker process.
-
-    The next job is computed while up to two workers format the earlier ones;
-    at most two meshes per worker are in flight. "wrote path" is printed in
-    job order as each one lands, and a worker's exception is re-raised here.
-    The workers are forked, so they inherit the loaded writers and start at
-    once; they only format text, and call no BLAS, whose threads a fork
-    does not carry over.
+    Forked where the platform can fork, so the workers inherit the loaded
+    writers and start at once; they only format text, and call no BLAS,
+    whose threads a fork does not carry over. Elsewhere the platform's
+    default start method imports the writers in each worker.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(2, len(os.sched_getaffinity(0)))
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(2, cores)
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forks else None)
+    return ProcessPoolExecutor(workers, context), workers
+
+
+def _write_meshes(jobs, count):
+    """Call each writer(path, f) of the count jobs, printing "wrote path".
+
+    With two or more, each runs in a worker process while the next job is
+    computed; at most two meshes per worker are in flight. The lines print in
+    job order as each mesh lands, and a worker's exception is re-raised here.
+    When a job or a worker fails, the meshes already handed over still land
+    and are reported before the error goes on. A single mesh has nothing to
+    overlap, and is written here: a pool costs more than it saves.
+    """
+    if count < 2:
+        for writer, path, f in jobs:
+            writer(path, f)
+            print(f"wrote {path}")
+        return
+    pool, workers = _writer_pool()
     pending = collections.deque()
 
     def land():
@@ -275,11 +291,14 @@ def _write_meshes(jobs):
         for writer, path, f in jobs:
             if len(pending) == 2 * workers:
                 land()
-            pending.append((path, pool.submit(_write_mesh, writer, path, f)))
+            pending.append((path, pool.submit(writer, path, f)))
         while pending:
             land()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for path, future in pending:
+            if future.exception() is None:
+                print(f"wrote {path}")
+        pool.shutdown()
 
 
 def read_ply(path):
@@ -393,10 +412,10 @@ def cmd_generate(args):
                 print(f"warning: surface at lambda={lam:g} is not regular "
                       "(image degenerates to a line)", file=sys.stderr)
             stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
-            yield ("write_" + args.format,
+            yield (write_ply if args.format == "ply" else write_obj,
                    os.path.join(cfg.out, stem + "." + args.format), S.f)
 
-    _write_meshes(meshes())
+    _write_meshes(meshes(), len(cfg.lambdas))
     return 0
 
 
@@ -498,10 +517,10 @@ def cmd_sweep(args):
             rows.append([lam] + [res for _, res in forms]    # E..m, then K
                         + [k_res, float(rep.regular_count)])
             if args.mesh:
-                yield ("write_obj", os.path.join(
+                yield (write_obj, os.path.join(
                     cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), S.f)
 
-    _write_meshes(meshes())
+    _write_meshes(meshes(), len(cfg.lambdas) if args.mesh else 0)
     header = ["lambda", "E_defect", "G_defect", "F_defect", "ell_max",
               "n_max", "m_defect", "K_defect", "regular_nodes"]
     path = os.path.join(cfg.out, f"sweep_{cfg.name}_n{cfg.grid}.csv")

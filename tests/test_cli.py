@@ -350,7 +350,7 @@ def test_pool_writes_the_bytes_of_serial_writers(tmp_path, capsys, command,
 
 
 def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
-    limit = 2 * min(2, len(os.sched_getaffinity(0)))   # two per worker
+    limit = 4                       # two per worker, at most two workers
     f = awkward_mesh(5, 4)
     landed = []
 
@@ -358,13 +358,68 @@ def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
         for k in range(12):
             landed.extend(capsys.readouterr().out.splitlines())
             assert k - len(landed) <= limit
-            yield "write_obj", tmp_path / f"m{k}.obj", f
+            yield cli.write_obj, tmp_path / f"m{k}.obj", f
 
-    cli._write_meshes(jobs())
+    cli._write_meshes(jobs(), 12)
     landed.extend(capsys.readouterr().out.splitlines())
     assert landed == [f"wrote {tmp_path / f'm{k}.obj'}" for k in range(12)]
     for k in range(12):
         assert (tmp_path / f"m{k}.obj").read_bytes() == ref_obj(f).encode()
+
+
+def test_pool_without_affinity_or_fork(tmp_path, capsys, monkeypatch):
+    # platforms without sched_getaffinity count cpus; without fork the pool
+    # uses the default start method
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "9",
+                   "--lambda", "0.5,2", "--out", str(tmp_path)])
+    assert rc == 0
+    paths = [tmp_path / f"pseudosphere_lam{lam}_n9.obj"
+             for lam in ("0.5", "2")]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {p}" for p in paths]
+    assert multiprocessing.active_children() == []
+    cfg = cli.RunConfig(grid=9, lambdas=(0.5, 2.0))
+    field, conn = cli._build_state(cfg)
+    for lam, path in zip(cfg.lambdas, paths):
+        cli.write_obj(tmp_path / "serial", cli._surface(field, conn, lam).f)
+        assert path.read_bytes() == (tmp_path / "serial").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", "1,2"],                      # no --mesh
+    ["sweep", "--lambda", "1", "--mesh"],
+    ["generate"],                                      # one lambda
+])
+def test_fewer_than_two_meshes_start_no_pool(tmp_path, capsys, monkeypatch,
+                                             argv):
+    def no_pool():
+        raise AssertionError("pool started")
+
+    monkeypatch.setattr(cli, "_writer_pool", no_pool)
+    assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "9",
+                            "--out", str(tmp_path)]) == 0
+    reported = [l.removeprefix("wrote ")
+                for l in capsys.readouterr().out.splitlines()]
+    meshes = sorted(str(p) for p in tmp_path.glob("*.obj"))
+    assert [p for p in reported if p.endswith(".obj")] == meshes
+    assert len(meshes) == (0 if argv[-1] == "1,2" else 1)
+
+
+def written_and_reported(tmp_path, out):
+    on_disk = sorted(str(p) for p in tmp_path.glob("*.obj") if p.is_file())
+    reported = [l.removeprefix("wrote ") for l in out.splitlines()]
+    assert sorted(reported) == on_disk
+    return reported
 
 
 def test_worker_write_error_exits_2(tmp_path, capsys):
@@ -373,9 +428,32 @@ def test_worker_write_error_exits_2(tmp_path, capsys):
                    "--lambda", "1,2,3", "--out", str(tmp_path)])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert out == f"wrote {tmp_path / 'vacuum_lam1_n9.obj'}\n"
+    # the third mesh was handed over before the second failed: it lands too
+    assert written_and_reported(tmp_path, out) == [
+        str(tmp_path / f"vacuum_lam{k}_n9.obj") for k in (1, 3)]
     assert "psfront: error: " in err
     assert "vacuum_lam2_n9.obj" in err
+    assert multiprocessing.active_children() == []
+
+
+def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
+                                                       monkeypatch):
+    surface = cli._surface
+
+    def sym_fails_at_3(field, conn, lam):
+        if lam == 3:
+            raise RuntimeError("Sym failed")
+        return surface(field, conn, lam)
+
+    monkeypatch.setattr(cli, "_surface", sym_fails_at_3)
+    rc = cli.main(["sweep", "--preset", "vacuum", "--grid", "9", "--mesh",
+                   "--lambda", "1,2,3,4", "--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert written_and_reported(tmp_path, out) == [
+        str(tmp_path / f"vacuum_lam{k}_n9.obj") for k in (1, 2)]
+    assert err.splitlines()[-1] == "psfront: error: Sym failed"
+    assert not list(tmp_path.glob("*.csv"))
     assert multiprocessing.active_children() == []
 
 
@@ -426,7 +504,7 @@ def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
 
 def test_traced_sweep_writes_its_meshes(tmp_path, monkeypatch):
     # forked workers inherit the traced writers; their spans stay in the
-    # workers, so cli.write sees the CSV alone
+    # workers
     traced = load_traced(monkeypatch)
     result = traced.traced_cli(["sweep", "--preset", "pseudosphere",
                                 "--grid", "17", "--lambda", "0.5,1,2",
@@ -434,6 +512,5 @@ def test_traced_sweep_writes_its_meshes(tmp_path, monkeypatch):
     assert result["rc"] == 0
     assert sorted(p.name for p in tmp_path.glob("*.obj")) == [
         f"pseudosphere_lam{lam}_n17.obj" for lam in ("0.5", "1", "2")]
-    csv = tmp_path / "sweep_pseudosphere_n17.csv"
-    assert result["metrics"]["cli.bytes_written"] == csv.stat().st_size
+    assert (tmp_path / "sweep_pseudosphere_n17.csv").is_file()
     assert multiprocessing.active_children() == []
