@@ -11,9 +11,9 @@ from ._threads import apply_thread_env
 
 apply_thread_env()
 
-from .loops import (DEFAULT_TRUNC, MAX_DEGREE, ParityError, RealFormError,
-                    ScalarLaurent, SingularSeriesError, TruncationOverflowError,
-                    TwistedLoop, from_coeff, identity_loop, loop_det, loop_eval,
+from .loops import (DEFAULT_TRUNC, MAX_DEGREE, ParityError, ScalarLaurent,
+                    SingularSeriesError, TruncationOverflowError, TwistedLoop,
+                    from_coeff, identity_loop, loop_det, loop_eval,
                     loop_inverse, loop_mul, scalar_reciprocal, unitarity_check)
 from .potentials import (DomainError, PotentialSpec, eta_minus, eta_plus,
                          from_json, preset_by_name, preset_c0_kink,

@@ -20,6 +20,7 @@ import argparse
 import collections
 import functools
 import json
+import math
 import os
 import sys
 
@@ -51,6 +52,19 @@ class ConfigError(ValueError):
     """Run configuration violates a structural requirement."""
 
 
+def _number(key, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _numbers(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(f"{key} entry", v, float) for v in value)
+
+
 class RunConfig:
     """Validated run parameters, merged from a JSON file and CLI flags."""
 
@@ -59,21 +73,30 @@ class RunConfig:
                  tolerances=None, out=".", step=None):
         if preset == "c0_kink" and potential is None and amplitude is None:
             raise ConfigError("preset c0_kink requires --amplitude")
+        for key, value in (("preset", preset), ("out", out)):
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
         self.preset = preset
-        self.amplitude = amplitude
+        self.amplitude = (None if amplitude is None
+                          else _number("amplitude", amplitude, float))
         self.potential = potential
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.grid = int(grid)
-        self.trunc = int(trunc)
-        self.lambdas = tuple(float(l) for l in lambdas)
+        self.interval = _numbers("interval", interval)
+        if len(self.interval) != 2:
+            raise ConfigError(f"interval must hold two numbers, got "
+                              f"{len(self.interval)}")
+        self.grid = _number("grid", grid, int)
+        self.trunc = _number("trunc", trunc, int)
+        self.lambdas = _numbers("lambdas", lambdas)
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        if tolerances:
-            for k, v in tolerances.items():
-                if k not in self.tolerances:
-                    raise ConfigError(f"unknown tolerance name '{k}'")
-                self.tolerances[k] = float(v)
+        if not isinstance(tolerances, (dict, type(None))):
+            raise ConfigError(f"tolerances must map names to numbers, got "
+                              f"{tolerances!r}")
+        for k, v in (tolerances or {}).items():
+            if k not in self.tolerances:
+                raise ConfigError(f"unknown tolerance name '{k}'")
+            self.tolerances[k] = _number(f"tolerance '{k}'", v, float)
         self.out = out
-        self.step = step
+        self.step = None if step is None else _number("step", step, float)
         if self.grid < 3:
             raise ConfigError(
                 f"grid resolution must be at least 3 nodes, got {self.grid}")
@@ -85,8 +108,9 @@ class RunConfig:
             raise ConfigError("at least one lambda value is required")
         labels = {}
         for lam in self.lambdas:
-            if not lam > 0:
-                raise ConfigError(f"lambda values must be positive, got {lam:g}")
+            if not 0 < lam < math.inf:
+                raise ConfigError(
+                    f"lambda values must be positive and finite, got {lam:g}")
             label = f"{lam:g}"
             if label in labels:
                 raise ConfigError(f"lambda values {labels[label]!r} and {lam!r} "
@@ -110,7 +134,7 @@ class RunConfig:
             return potentials.from_json(self.potential)
         kwargs = {}
         if self.step is not None:
-            kwargs["step"] = float(self.step)
+            kwargs["step"] = self.step
         return potentials.preset_by_name(self.preset, amplitude=self.amplitude,
                                          **kwargs)
 
@@ -122,6 +146,9 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file {args.config} must hold a "
+                                  f"JSON object, got {type(data).__name__}")
         kwargs = {k: data[k] for k in CONFIG_KEYS if k in data}
         if getattr(args, "preset", None):
             kwargs["preset"] = args.preset
@@ -130,31 +157,22 @@ class RunConfig:
             if getattr(args, key, None) is not None:
                 kwargs[key] = getattr(args, key)
         if getattr(args, "lambdas", None):
-            kwargs["lambdas"] = _parse_lambdas(args.lambdas)
+            kwargs["lambdas"] = [t for t in args.lambdas.split(",")
+                                 if t.strip()]
         if getattr(args, "out", None):
             kwargs["out"] = args.out
         tol_args = getattr(args, "tol", None)
-        if tol_args:
+        if tol_args and isinstance(kwargs.get("tolerances") or {}, dict):
             tols = dict(kwargs.get("tolerances") or {})
             for entry in tol_args:
                 if "=" in entry:
                     name, _, val = entry.partition("=")
-                    tols[name] = float(val)
+                    tols[name] = val
                 else:
                     for name, _ in DEFAULT_TOLERANCES:
-                        tols[name] = float(entry)
+                        tols[name] = entry
             kwargs["tolerances"] = tols
         return cls(**kwargs)
-
-
-def _parse_lambdas(text):
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse lambda list '{text}'")
-    if not vals:
-        raise ConfigError("empty lambda list")
-    return vals
 
 
 # ---------------------------------------------------------------------------

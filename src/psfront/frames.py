@@ -3,13 +3,13 @@
 The build runs in three stages. integrate_half_frame solves the loop ODE along
 one axis by an iterated-integral ladder, giving a one-parameter family of
 nonnegative (x axis) or nonpositive (y axis) loops normalized to the identity
-at the origin. build_frame_field glues the two families on packed real-form
-loops (see loops), which is also the layout of the FrameField it returns: at
-every grid node it factors G = U_minus^{-1} U_plus into a nonnegative times a
-normalized nonpositive loop through a Toeplitz solve, and assembles the
-extended frame U_hat = U_plus L_minus. extract_connection then reads the two
-angle fields off the factors and cross-checks the result against finite
-differences of U_hat itself.
+at the origin, as packed real-form loops (see loops). build_frame_field glues
+the two families in that layout, which is also the one of the FrameField it
+returns: at every grid node it factors G = U_minus^{-1} U_plus into a
+nonnegative times a normalized nonpositive loop through a Toeplitz solve, and
+assembles the extended frame U_hat = U_plus L_minus. extract_connection then
+reads the two angle fields off the factors and cross-checks the result
+against finite differences of U_hat itself.
 
 The ladder truncated at degree k is the generating function of the implicit
 trapezoid one-step scheme, which is exactly unitary for real lambda; unitarity
@@ -23,13 +23,10 @@ import numpy as np
 from . import loops
 from .analysis import cumtrapz_origin, d_x, d_y, spacing
 # eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
-from .loops import (DEFAULT_TRUNC, RealFormError, TwistedLoop, eval_coeffs,
-                    inverse_coeffs, mul_coeffs, pack, packed_adjugate,
-                    packed_eval, packed_mul, real_form_defect, sup_abs,
-                    unitarity_residual, unpack)
+from .loops import (DEFAULT_TRUNC, TwistedLoop, eval_coeffs, inverse_coeffs,
+                    mul_coeffs, pack, packed_adjugate, packed_eval, packed_mul,
+                    packed_unitarity, sup_abs, unpack)
 from .potentials import eta_minus, eta_plus
-
-REAL_FORM_TOL = 1e-12               # packing is exact only on real-form input
 
 
 class GridError(ValueError):
@@ -47,22 +44,27 @@ class ConnectionShapeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # ladder integration
 
-def ladder(A, h, i0, n_deg):
-    """Iterated integrals U_0 = I, U_k = int_0 U_{k-1} A; shape (n, n_deg+1, 2, 2)."""
-    n = A.shape[0]
-    U = np.zeros((n, n_deg + 1, 2, 2), complex)
-    U[:, 0] = np.eye(2)
+def ladder(c, h, i0, n_deg):
+    """Packed iterated integrals U_0 = I, U_k = int_0 U_{k-1} A, (n, n_deg+1).
+
+    A = [[0, c], [-conj(c), 0]]: U_{k-1} A is the packed U_{k-1} times c for
+    odd k and times -conj(c) for even k.
+    """
+    U = np.zeros((c.shape[0], n_deg + 1), complex)
+    U[:, 0] = 1.0
     for k in range(1, n_deg + 1):
-        U[:, k] = cumtrapz_origin(np.einsum("nab,nbc->nac", U[:, k - 1], A), h, i0)
+        # einsum rounds as the 2x2 product does; * can differ in the last bit
+        U[:, k] = cumtrapz_origin(np.einsum(
+            "n,n->n", U[:, k - 1], c if k % 2 else -c.conj()), h, i0)
     return U
 
 
 class HalfFrameFamily:
     """One-parameter family of half frames along a single axis.
 
-    coeffs has shape (n_nodes, n_trunc+1, 2, 2) with ascending degrees:
-    0..n_trunc for the x axis, -n_trunc..0 for the y axis. The loop at the
-    origin is the identity.
+    coeffs holds packed loops (loops.pack), shape (n_nodes, n_trunc+1), with
+    ascending degrees: 0..n_trunc for the x axis, -n_trunc..0 for the y axis.
+    The loop at the origin is the identity.
     """
 
     def __init__(self, axis, nodes, coeffs, k_min, n_trunc, spec,
@@ -76,7 +78,7 @@ class HalfFrameFamily:
         self.per_degree_sup = per_degree_sup
 
     def loop_at(self, i):
-        return TwistedLoop(self.k_min, self.coeffs[i])
+        return TwistedLoop(self.k_min, unpack(self.coeffs[i], self.k_min))
 
     def __repr__(self):
         return (f"HalfFrameFamily(axis={self.axis!r}, n={len(self.nodes)}, "
@@ -119,12 +121,9 @@ def integrate_half_frame(spec, axis, grid, n_trunc=DEFAULT_TRUNC):
         raise GridError(f"axis must be 'x' or 'y', got {axis!r}")
     lattice, sel, i0 = _lattice_for(spec, grid)
     h = spec.step
-    if axis == "x":
-        A = eta_plus(spec, lattice)
-    else:
-        A = eta_minus(spec, lattice)
-    U = ladder(A, h, i0, n_trunc)
-    per_degree = np.abs(U).reshape(U.shape[0], n_trunc + 1, 4).max(axis=(0, 2))
+    eta = eta_plus if axis == "x" else eta_minus
+    U = ladder(eta(spec, lattice)[:, 0, 1], h, i0, n_trunc)
+    per_degree = np.abs(U).max(axis=0)
     Usel = U[sel]
     if axis == "x":
         coeffs, k_min = Usel, 0                   # U_k multiplies lambda^k
@@ -199,13 +198,13 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
 class FrameField:
     """Extended frames and their factors on the full grid.
 
-    Uhat, Lp and Lm are packed loops (loops.pack) indexed (ix, iy, degree),
+    Uhat, Lp and Lm are packed loops indexed (ix, iy, degree),
     ascending degrees: Uhat -n_trunc..n_trunc, Lp 0..n_trunc, Lm -n_trunc..0.
     split_residual and consistency are per-node sup norms.
     """
 
     def __init__(self, x, y, n_trunc, spec, Uhat, Lp, Lm, split_residual,
-                 consistency, parity_defect, unitarity):
+                 consistency, unitarity):
         self.x = x
         self.y = y
         self.n_trunc = n_trunc
@@ -215,7 +214,6 @@ class FrameField:
         self.Lm = Lm
         self.split_residual = split_residual
         self.consistency = consistency
-        self.parity_defect = parity_defect
         self.unitarity = unitarity
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
@@ -230,10 +228,13 @@ def truncation_tail(n_trunc, reach, lam_amp=1.0):
 
     reach is the largest |coordinate| integrated over; the degree-k ladder
     level is bounded by (reach/2)^k / k!, and evaluating at lambda multiplies
-    degree k by lam_amp^k.
+    degree k by lam_amp^k. A bound too large for a float is math.inf.
     """
-    m = 0.5 * reach * lam_amp
-    return m ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(m)
+    m = 0.5 * float(reach) * lam_amp
+    try:
+        return m ** (n_trunc + 1) / math.factorial(n_trunc + 1) * math.exp(m)
+    except OverflowError:
+        return math.inf
 
 
 def tail_tolerance(floor, n_trunc, reach, lam_amp):
@@ -246,10 +247,10 @@ def build_frame_field(up, um, consistency_tol=None):
 
     The one-dimensional families are integrated once; the per-node work is the
     Toeplitz solve and a handful of window products, vectorized over the whole
-    grid on packed loops (loops.pack); a family off the twisted real form
-    raises RealFormError. The unitarity tolerance, and the consistency one
-    unless given, follow the truncation tail of the ladder, which is what
-    those defects consist of.
+    grid on packed loops; a family with a non-finite coefficient raises
+    SplitError. The unitarity tolerance, and the consistency one unless given,
+    follow the truncation tail of the ladder, which is what those defects
+    consist of.
     """
     if up.axis != "x" or um.axis != "y":
         raise GridError("expected an x-axis family and a y-axis family")
@@ -261,19 +262,18 @@ def build_frame_field(up, um, consistency_tol=None):
         consistency_tol = tail_tolerance(1e-12, N, reach, 1.0)
     # unitarity is probed at lambda in {1/2, 1, 2}
     unitarity_tol = tail_tolerance(1e-9, N, reach, 2.0)
-    parity_defect = 0.0
     for fam in (up, um):
-        defect = real_form_defect(fam.coeffs, fam.k_min)
-        if not defect <= REAL_FORM_TOL:
-            raise RealFormError(
-                f"{fam.axis}-axis half-frame family leaves the twisted SU(2) "
-                f"real form: defect {defect:.3e} exceeds {REAL_FORM_TOL:g}")
-        parity_defect = max(parity_defect, defect)
+        bad = np.flatnonzero(~np.isfinite(fam.coeffs).all(axis=-1))
+        if bad.size:
+            raise SplitError(
+                f"{fam.axis}-axis half-frame family has a non-finite "
+                f"coefficient at node {bad[0]} ({fam.axis} = "
+                f"{fam.nodes[bad[0]]:g})")
     nx, ny = len(up.nodes), len(um.nodes)
-    # packed loops from here on: one complex scalar per degree
-    Vinv = pack(inverse_coeffs(um.coeffs, -N, -N, N + 1), -N)  # (ny, N+1), -N..0
-    Up = pack(up.coeffs, 0)[:, None]                           # (nx, 1, N+1), 0..N
-    Um = pack(um.coeffs, -N)[None, :]                          # (1, ny, N+1), -N..0
+    # the y family's inverse on the 2x2 kernel: ny x (N+1) coefficients only
+    Vinv = pack(inverse_coeffs(unpack(um.coeffs, -N), -N, -N, N + 1), -N)
+    Up = up.coeffs[:, None]                       # (nx, 1, N+1), 0..N
+    Um = um.coeffs[None, :]                       # (1, ny, N+1), -N..0
     # G(x, y) = U_minus(y)^{-1} U_plus(x), degrees -N..N
     G = packed_mul(Vinv[None, :], Up, -N, 0, -N, 2 * N + 1).reshape(nx * ny, -1)
     # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even degrees
@@ -292,8 +292,8 @@ def build_frame_field(up, um, consistency_tol=None):
         Uhat - packed_mul(Um, Lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
     field = FrameField(
         up.nodes, um.nodes, N, up.spec, Uhat, Lp, Lm, split_res, consistency,
-        parity_defect, {lam: unitarity_residual(packed_eval(Uhat, -N, lam)[0])
-                        for lam in (0.5, 1.0, 2.0)})
+        {lam: packed_unitarity(packed_eval(Uhat, -N, lam)[0])
+         for lam in (0.5, 1.0, 2.0)})
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
 
@@ -320,9 +320,8 @@ class ConnectionField:
     """Angle and off-diagonal data of the frame's flat connection.
 
     phihat is the rotating angle field, r its negated x derivative as read off
-    the factors, p = i e^{i phihat} and q = i e^{-i alpha} the off-diagonal
-    scalars. omega1_* and omega2_* are the per-degree coefficient fields of the
-    two connection matrices:
+    the factors, p = i e^{i phihat} and q = i e^{-i alpha} (per x node) the
+    off-diagonal scalars. These scalars are the two connection matrices:
 
         omega1 = [[i r / 2, lambda q / 2], [-lambda conj(q) / 2, -i r / 2]]
         omega2 = -(1 / (2 lambda)) [[0, p], [-conj(p), 0]]
@@ -338,12 +337,6 @@ class ConnectionField:
         self.p = 1j * np.exp(1j * phihat)
         self.q = 1j * np.exp(-1j * alpha)
         self.shape_report = shape_report
-        nx, ny = phihat.shape
-        w1 = unpack(np.stack([0.5j * r, np.broadcast_to(0.5 * self.q[:, None],
-                                                         (nx, ny))], -1), 0)
-        self.omega1_c0 = w1[..., 0, :, :]
-        self.omega1_c1 = w1[..., 1, :, :]
-        self.omega2_cm1 = unpack(-0.5 * self.p[..., None], -1)[..., 0, :, :]
 
 
 def extract_connection(field, shape_tol=None):
@@ -412,20 +405,13 @@ def _shape_check(field, alpha, beta, phihat, r, tol):
 def zcc_residual(conn):
     """Per-node curvature residual of the extracted connection.
 
-    Assembles d_y omega1 - d_x omega2 + [omega2, omega1] degree by degree with
-    order-2 differences and returns the sup over degrees and matrix entries at
-    each node. The lambda^{+1} block is the y derivative of a y-independent
-    coefficient and is included for completeness.
+    The lambda^0 block of d_y omega1 - d_x omega2 + [omega2, omega1] has the
+    entries +-(i / 2)(d_y r - Im(conj(p) q)), the lambda^-1 block (d_x p +
+    i r p) / 2 and minus its conjugate, and the lambda^1 block d_y q vanishes.
+    Returns the largest entry modulus per node, with order-2 differences.
     """
     hx, hy = spacing(conn)
-    w1_0, w1_1, w2_m1 = conn.omega1_c0, conn.omega1_c1, conn.omega2_cm1
-
-    def comm(A, B):
-        return (np.einsum("...ab,...bc->...ac", A, B)
-                - np.einsum("...ab,...bc->...ac", B, A))
-
-    res0 = d_y(w1_0, hy) + comm(w2_m1, w1_1)
-    resm1 = -d_x(w2_m1, hx) + comm(w2_m1, w1_0)
-    resp1 = d_y(w1_1, hy)
-    stack = np.stack([np.abs(res0), np.abs(resm1), np.abs(resp1)], axis=-1)
-    return stack.reshape(stack.shape[:2] + (-1,)).max(axis=-1)
+    p, r = conn.p, conn.r
+    res0 = d_y(r, hy) - (p.conj() * conn.q[:, None]).imag
+    resm1 = d_x(p, hx) + 1j * r * p
+    return 0.5 * np.maximum(np.abs(res0), np.abs(resm1))

@@ -8,8 +8,10 @@ structural zeros are enforced at construction time.
 
 Every loop the frame pipeline makes also lies in the SU(2) real form, with
 coefficients [[a, b], [-conj(b), conj(a)]]: with the twist parity that is one
-complex scalar per degree, the frame field's layout; only this module turns
-it into 2x2 matrices (pack / unpack, packed_eval), multiplied by packed_mul.
+complex scalar per degree, the layout of every loop from the ladder to Sym:
+packed_mul multiplies, packed_eval gives the first row (a, b) and its
+t-derivative, packed_unitarity the defect of |a|^2 + |b|^2 = 1; only pack and
+unpack convert it to and from 2x2 matrices.
 
 All products and inverses are window-truncated and reduce to one kernel,
 scalar_conv, a shift-add over the coefficients of its first factor, with
@@ -39,10 +41,6 @@ class SingularSeriesError(ValueError):
 
 class ParityError(ValueError):
     """Coefficients violate the twist parity pattern."""
-
-
-class RealFormError(ValueError):
-    """Coefficients leave the twisted SU(2) real form that packing assumes."""
 
 
 def sup_abs(arr):
@@ -111,11 +109,6 @@ def unpack(p, kmin):
     C[..., o::2, 0, 1] = p[..., o::2]
     C[..., o::2, 1, 0] = -p[..., o::2].conj()
     return C
-
-
-def real_form_defect(C, kmin):
-    """Largest entry by which C misses the twisted real form (NaN if C has one)."""
-    return sup_abs(C - unpack(pack(C, kmin), kmin))
 
 
 def packed_mul(a, b, amin, bmin, outmin, outlen):
@@ -218,16 +211,20 @@ def eval_coeffs(C, kmin, lam):
 
 
 def packed_eval(p, kmin, lam):
-    """U(lam) and dU/dt along lambda = e^t (degree k scaled by k) of packed
-    real-form loops at a real lam, each (..., 2, 2), from one contraction."""
+    """First rows (a, b) of U(lam) and (a_t, b_t) of dU/dt along lambda = e^t
+    (degree k scaled by k) of packed real-form loops at a real lam, each
+    (..., 2), from one contraction."""
     degs = kmin + np.arange(p.shape[-1])
     w = float(lam) ** degs.astype(float)
     even = degs % 2 == 0
     W = np.stack([w * even, w * ~even, degs * w * even, degs * w * ~even], -1)
     ab = (p @ W.astype(complex)).reshape(p.shape[:-1] + (2, 2))
-    a, b = np.moveaxis(ab, (-1, -2), (0, 1))     # (2, ...): value, derivative
-    U = np.stack([a, b, -b.conj(), a.conj()], -1).reshape(a.shape + (2, 2))
-    return U[0], U[1]
+    return ab[..., 0, :], ab[..., 1, :]
+
+
+def packed_unitarity(row):
+    """sup | |a|^2 + |b|^2 - 1 | over first rows (..., 2), NaN if any is."""
+    return sup_abs((row * row.conj()).real.sum(axis=-1) - 1.0)
 
 
 def unitarity_residual(Ue):

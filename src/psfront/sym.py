@@ -10,18 +10,20 @@ U_hat^{-1} = U_hat^H / d, so R is a rotation whatever d is:
     R e2 = (-Im(a^2 + b^2), Re(a^2 + b^2), -2 Im(a conj(b))) / d
     R e3 = (-2 Re(a b), -2 Im(a b), |a|^2 - |b|^2) / d
 
-The normal is N = R e3. The connection coefficients of frames.ConnectionField
-are omega1_c1 = (cos alpha, -sin alpha, 0) and omega2_cm1 = -(cos phihat,
-sin phihat, 0); a bracket with e3 is a cross product with e3, so the diagonal
-r term drops out, and the exact tangents and normal derivatives are
+The normal is N = R e3. The lambda^1 coefficient of omega1 and the lambda^-1
+one of omega2 (frames.ConnectionField) are (cos alpha, -sin alpha, 0) and
+-(cos phihat, sin phihat, 0); a bracket with e3 is a cross product with e3,
+so the diagonal r term drops out, and the exact tangents and normal
+derivatives are
 
     f_x = lambda0 (cos alpha R e1 - sin alpha R e2)
     f_y = (cos phihat R e1 + sin phihat R e2) / lambda0
     N_x = -lambda0 (sin alpha R e1 + cos alpha R e2)
     N_y = (cos phihat R e2 - sin phihat R e1) / lambda0
 
-Only f can leave su(2), since its trace is the t-derivative of log d, so it
-is the one field that passes the su(2) gate of su2_to_r3.
+Only f = U_hat_t U_hat^H / d = [[s, t], [-conj(t), conj(s)]] can leave su(2),
+through Re s = (log d)_t / 2: its one gate is 2 max |Re s|, the defect
+su2_to_r3 reports for that matrix, and f = 2 (Im t, -Re t, Im s).
 
 The su(2) to R^3 identification uses the orthonormal basis
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .frames import tail_tolerance
 # eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
-from .loops import eval_coeffs, packed_eval, sup_abs, unitarity_residual
+from .loops import eval_coeffs, packed_eval, packed_unitarity, sup_abs
 
 E1 = 0.5 * np.array([[0, 1j], [1j, 0]])
 E2 = 0.5 * np.array([[0, -1], [1, 0]])
@@ -67,7 +69,7 @@ class SurfaceGrid:
     f and N have shape (nx, ny, 3). Analytic tangent and normal-derivative
     fields are attached when the connection is available; consumers fall back
     to finite differences when they are absent, and so is unitarity, the
-    loops.unitarity_residual of the frame they came from. A normal whose norm
+    loops.packed_unitarity of the frame they came from. A normal whose norm
     misses 1 by more than NORMAL_TOL, or is NaN, raises StructureError.
     """
 
@@ -101,10 +103,11 @@ class SurfaceGrid:
 
 
 def _frame_at(field, lam0, structure_tol):
-    """f, the rotation columns (R e1, R e2, N) and U_hat, from one packed_eval.
+    """f, the rotation columns (R e1, R e2, N) and U_hat's row (a, b), from
+    one packed_eval.
 
-    f passes the su(2) gate and N the norm check at structure_tol, by default
-    the truncation-tail tolerance of the field at lam0.
+    f passes the su(2) gate at structure_tol, by default the truncation-tail
+    tolerance of the field at lam0.
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
@@ -112,24 +115,23 @@ def _frame_at(field, lam0, structure_tol):
         reach = max(np.abs(field.x).max(), np.abs(field.y).max())
         structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
                                        max(lam0, 1.0 / lam0))
-    Ue, Ut = packed_eval(field.Uhat, -field.n_trunc, lam0)
-    a, b, at, bt = Ue[..., 0, 0], Ue[..., 0, 1], Ut[..., 0, 0], Ut[..., 0, 1]
+    row, row_t = packed_eval(field.Uhat, -field.n_trunc, lam0)
+    a, b, at, bt = row[..., 0], row[..., 1], row_t[..., 0], row_t[..., 1]
     aa, bb = (a * a.conj()).real, (b * b.conj()).real
     inv_d = 1.0 / (aa + bb)
-    # U_t U^H / d = [[s, t], [-conj(t), conj(s)]], with Re s = (log d)_t / 2
     s = (at * a.conj() + bt * b.conj()) * inv_d
     t = (bt * a - at * b) * inv_d
-    f = su2_to_r3(np.stack([s, t, -t.conj(), s.conj()], -1)
-                  .reshape(s.shape + (2, 2)), tol=structure_tol)
+    defect = 2.0 * sup_abs(s.real)
+    if not defect <= structure_tol:
+        raise StructureError(
+            f"not su(2): defect {defect:.3e} > {structure_tol:g}")
+    f = 2.0 * np.stack([t.imag, -t.real, s.imag], -1)
     sq, dsq, ab, abc = a * a + b * b, a * a - b * b, a * b, a * b.conj()
     R = [np.stack(col, -1) * inv_d[..., None] for col in (
         (dsq.real, dsq.imag, 2 * abc.real),
         (-sq.imag, sq.real, -2 * abc.imag),
         (-2 * ab.real, -2 * ab.imag, aa - bb))]
-    defect = sup_abs(np.linalg.norm(R[2], axis=-1) - 1.0)
-    if not defect <= max(NORMAL_TOL, structure_tol):
-        raise StructureError(f"normal norm defect {defect:.3e}")
-    return f, R, Ue
+    return f, R, row
 
 
 def sym_immersion(field, lam0, conn=None, structure_tol=None):
@@ -140,9 +142,9 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
     and with a connection given, the exact tangent and normal-derivative
     fields.
     """
-    f, R, Ue = _frame_at(field, lam0, structure_tol)
+    f, R, row = _frame_at(field, lam0, structure_tol)
     S = SurfaceGrid(field.x, field.y, lam0, f, R[2], conn=conn)
-    S.unitarity = unitarity_residual(Ue)
+    S.unitarity = packed_unitarity(row)
     if conn is not None:
         ca = np.cos(conn.alpha)[:, None, None]
         sa = np.sin(conn.alpha)[:, None, None]
@@ -155,14 +157,7 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
 
 
 def analytic_tangents(field, conn, lam0):
-    """Exact tangent fields f_x, f_y of sym_immersion: the rotated connection.
-
-    The t-derivative of the connection at lambda = e^t multiplies the degree
-    +1 coefficient by lam0 and the degree -1 coefficient by -1/lam0; the x
-    tangent keeps only the degree-1 part (the diagonal term has degree 0), the
-    y tangent is the sign-flipped degree -1 part. Norms are exactly lam0 and
-    1/lam0.
-    """
+    """Exact tangent fields f_x, f_y of sym_immersion (norms lam0, 1/lam0)."""
     S = sym_immersion(field, lam0, conn=conn)
     return S.fx, S.fy
 

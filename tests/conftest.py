@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import psfront as pf
+from psfront import loops
 
 LAMBDAS = (0.5, 1.0, 2.0)
 
@@ -55,6 +56,15 @@ def kink_run():
 @pytest.fixture(scope="session")
 def vacuum_run():
     return build_run(pf.preset_vacuum(), 17, lambdas=LAMBDAS)
+
+
+def connection_blocks(conn):
+    """omega1's degree-0 and degree-1 and omega2's degree -1 coefficient
+    fields, (nx, ny, 2, 2) each, unpacked from the scalars r, p and q."""
+    q = np.broadcast_to(0.5 * conn.q[:, None], conn.r.shape)
+    w1 = loops.unpack(np.stack([0.5j * conn.r, q], -1), 0)
+    w2 = loops.unpack(-0.5 * conn.p[..., None], -1)
+    return w1[..., 0, :, :], w1[..., 1, :, :], w2[..., 0, :, :]
 
 
 def closed_form_namespace(n):

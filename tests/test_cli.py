@@ -274,6 +274,10 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
     (["sweep", "--preset", "vacuum", "--grid", "9", "--mesh",
       "--lambda", "1.00001,1.000012"],
      "lambda values 1.00001 and 1.000012 share the file label '1.00001'"),
+    (["verify", "--preset", "pseudosphere", "--grid", "9", "--lambda", "inf"],
+     "must be positive and finite, got inf"),
+    (["verify", "--preset", "pseudosphere", "--grid", "9",
+      "--lambda", "1e300"], "not su(2): defect nan > inf"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -290,6 +294,23 @@ def test_unknown_preset_in_config_file_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,needle", [
+    ([{"preset": "vacuum"}], "must hold a JSON object, got list"),
+    ({"lambdas": 1.0}, "lambdas must be a list of numbers, got 1.0"),
+    ({"interval": 3}, "interval must be a list of numbers, got 3"),
+    ({"tolerances": [1]}, "tolerances must map names to numbers, got [1]"),
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, config, needle):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(["verify", "--config", str(cfg), "--grid", "9",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psfront: error: ")
+    assert needle in err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 import psfront as pf
-from psfront import frames, loops
+from conftest import connection_blocks
+from psfront import analysis, frames, loops
 from psfront.frames import (ConnectionShapeError, GridError, SplitError,
                             truncation_tail)
-from psfront.loops import RealFormError, TwistedLoop
+from psfront.loops import TwistedLoop
 
 
 def random_twisted(rng, k_min, k_max, scale, diag_anchor=None):
@@ -35,15 +36,32 @@ def test_ladder_origin_is_identity():
     x = np.linspace(-2, 2, 17)
     fam = pf.integrate_half_frame(spec, "x", x)
     i0 = int(np.argmin(np.abs(x)))
-    assert np.all(fam.coeffs[i0, 0] == np.eye(2))
+    assert fam.coeffs.shape == (17, 17)
+    assert fam.coeffs[i0, 0] == 1.0
     assert np.all(fam.coeffs[i0, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_packed_ladder_keeps_the_bits_of_the_matrix_ladder(axis):
+    spec = pf.preset_c0_kink(0.5)
+    x = np.linspace(-2, 2, 33)
+    fam = pf.integrate_half_frame(spec, axis, x, n_trunc=8)
+    lattice, sel, i0 = frames._lattice_for(spec, x)
+    eta = pf.eta_plus if axis == "x" else pf.eta_minus
+    A = eta(spec, lattice)
+    U = np.zeros((len(lattice), 9, 2, 2), complex)
+    U[:, 0] = np.eye(2)
+    for k in range(1, 9):
+        U[:, k] = analysis.cumtrapz_origin(
+            np.einsum("nab,nbc->nac", U[:, k - 1], A), spec.step, i0)
+    U = U[sel] if axis == "x" else U[sel, ::-1]
+    assert np.array_equal(loops.unpack(fam.coeffs, fam.k_min), U)
 
 
 def test_vacuum_ladder_matches_exponential():
     x = np.linspace(-2, 2, 129)
     fam = pf.integrate_half_frame(pf.preset_vacuum(), "x", x)
-    target = (-(x ** 2) / 8.0)[:, None, None] * np.eye(2)
-    assert np.abs(fam.coeffs[:, 2] - target).max() < 1e-14
+    assert np.abs(fam.coeffs[:, 2] + x ** 2 / 8.0).max() < 1e-14
 
 
 def test_kink_degree_one_matches_adaptive_quadrature():
@@ -53,7 +71,7 @@ def test_kink_degree_one_matches_adaptive_quadrature():
     fam = pf.integrate_half_frame(spec, "x", grid)
     re = quad(lambda s: np.cos(spec.alpha(s)), 0.0, 1.0)[0]
     im = quad(lambda s: -np.sin(spec.alpha(s)), 0.0, 1.0)[0]
-    assert abs(fam.coeffs[-1, 1, 0, 1] - 0.5j * (re + 1j * im)) < 1e-8
+    assert abs(fam.coeffs[-1, 1] - 0.5j * (re + 1j * im)) < 1e-8
 
 
 def test_default_step_ladder_error_is_second_order():
@@ -64,7 +82,7 @@ def test_default_step_ladder_error_is_second_order():
     for i in (0, 40, 128):
         re = quad(lambda s: np.cos(spec.alpha(s)), 0.0, x[i], limit=200)[0]
         im = quad(lambda s: -np.sin(spec.alpha(s)), 0.0, x[i], limit=200)[0]
-        worst = max(worst, abs(fam.coeffs[i, 1, 0, 1] - 0.5j * (re + 1j * im)))
+        worst = max(worst, abs(fam.coeffs[i, 1] - 0.5j * (re + 1j * im)))
     assert worst < 1e-5                 # trapezoid at step 1/256
 
 
@@ -81,6 +99,7 @@ def test_y_axis_family_has_nonpositive_degrees():
     assert fam.k_min == -fam.n_trunc
     loop = fam.loop_at(3)
     assert loop.window == (-16, 0)
+    assert np.array_equal(loops.pack(loop.coeffs, -16), fam.coeffs[3])
 
 
 def test_grid_validation():
@@ -187,17 +206,14 @@ def test_field_residuals_are_tiny(ps_run):
     field = ps_run.field
     assert field.split_residual.max() < 1e-13
     assert field.consistency.max() < 1e-13
-    assert field.parity_defect < 1e-12
 
 
 def test_vacuum_field_matches_commuting_exponential(vacuum_run):
     field = vacuum_run.field
     assert field.split_residual.max() < 1e-10
-    P = np.array([[0, 1], [1, 0]], complex)
     X, Y = np.meshgrid(vacuum_run.x, vacuum_run.y, indexing="ij")
     th = 0.5 * (X - Y)
-    closed = (np.cos(th)[..., None, None] * np.eye(2)
-              + (1j * np.sin(th))[..., None, None] * P)
+    closed = np.stack([np.cos(th), 1j * np.sin(th)], -1)   # first row
     evaluated = loops.packed_eval(field.Uhat, -field.n_trunc, 1.0)[0]
     assert np.abs(evaluated - closed).max() < 1e-5
 
@@ -239,16 +255,13 @@ def small_families(n=17, n_trunc=16):
             pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
 
 
-@pytest.mark.parametrize("axis, index, value", [
-    ("x", (3, 2, 1, 1), 1e-6),          # (1,1) not conj of (0,0)
-    ("y", (5, 2, 0, 1), 1e-6),          # off-diagonal entry at even degree
-    ("y", (4, 7, 1, 0), np.nan),
-])
-def test_family_off_real_form_rejected(axis, index, value):
+@pytest.mark.parametrize("axis, node, degree", [("x", 3, 2), ("y", 4, 7)])
+def test_family_with_nan_rejected(axis, node, degree):
     up, um = small_families()
     fam = up if axis == "x" else um
-    fam.coeffs[index] += value
-    with pytest.raises(RealFormError, match=f"{axis}-axis half-frame family"):
+    fam.coeffs[node, degree] = np.nan
+    with pytest.raises(SplitError, match=f"{axis}-axis half-frame family has "
+                       f"a non-finite coefficient at node {node} "):
         pf.build_frame_field(up, um)
 
 
@@ -303,6 +316,32 @@ def test_zcc_vacuum_is_zero(vacuum_run):
 
 def test_zcc_residual_small_on_pipeline(ps_run):
     assert pf.zcc_residual(ps_run.conn).max() < 1e-3
+
+
+def zcc_reference(conn):
+    """The residual in 2x2 form: d_y omega1 - d_x omega2 + [omega2, omega1]
+    degree by degree, sup over degrees and matrix entries at each node."""
+    hx, hy = analysis.spacing(conn)
+    w1_0, w1_1, w2_m1 = connection_blocks(conn)
+
+    def comm(A, B):
+        return (np.einsum("...ab,...bc->...ac", A, B)
+                - np.einsum("...ab,...bc->...ac", B, A))
+
+    res0 = analysis.d_y(w1_0, hy) + comm(w2_m1, w1_1)
+    resm1 = -analysis.d_x(w2_m1, hx) + comm(w2_m1, w1_0)
+    resp1 = analysis.d_y(w1_1, hy)
+    stack = np.stack([np.abs(res0), np.abs(resm1), np.abs(resp1)], axis=-1)
+    return stack.reshape(stack.shape[:2] + (-1,)).max(axis=-1)
+
+
+@pytest.mark.parametrize("run_name",
+                         ["ps_run", "ps_run_257", "kink_run", "vacuum_run"])
+def test_zcc_residual_matches_matrix_form(run_name, request):
+    conn = request.getfixturevalue(run_name).conn
+    got = pf.zcc_residual(conn)
+    assert got.shape == conn.phihat.shape
+    assert np.abs(got - zcc_reference(conn)).max() <= 1e-15
 
 
 def test_truncation_tail_formula():

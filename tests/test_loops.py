@@ -82,7 +82,6 @@ def test_packed_product_matches_full_product(amin, alen, bmin, blen,
     A, B = loops.unpack(a, amin), loops.unpack(b, bmin)
     assert np.array_equal(loops.pack(A, amin), a)
     assert np.array_equal(loops.unpack(loops.pack(A, amin), amin), A)
-    assert loops.real_form_defect(A, amin) == 0.0
     want = loops.mul_coeffs(A, B, amin, bmin, outmin, outlen + 1)
     got = loops.unpack(loops.packed_mul(a, b, amin, bmin, outmin, outlen + 1),
                        outmin)
@@ -98,25 +97,14 @@ def test_packed_eval_matches_full_eval(kmin, klen, lam, seed):
     rng = np.random.default_rng(seed)
     p = rng.normal(size=(3, klen + 1)) + 1j * rng.normal(size=(3, klen + 1))
     C = loops.unpack(p, kmin)
-    U, Ut = loops.packed_eval(p, kmin, lam)
-    want = loops.eval_coeffs(C, kmin, lam)
-    want_t = sum(k * lam ** k * C[:, i]
+    row, row_t = loops.packed_eval(p, kmin, lam)
+    want = loops.eval_coeffs(C, kmin, lam)[:, 0]
+    want_t = sum(k * lam ** k * C[:, i, 0]
                  for i, k in enumerate(range(kmin, kmin + klen + 1)))
-    assert U.shape == Ut.shape == (3, 2, 2)
-    assert loops.sup_abs(U - want) < 1e-13 * max(1.0, loops.sup_abs(want))
-    assert loops.sup_abs(Ut - want_t) < 1e-13 * max(1.0, loops.sup_abs(want_t))
-
-
-def test_real_form_defect_sees_parity_and_conjugation():
-    C = loops.unpack(np.array([1.0 + 0.5j, 0.3 - 0.2j]), 0)
-    assert loops.real_form_defect(C, 0) == 0.0
-    C[0, 1, 1] += 1e-6                  # (1,1) no longer conj of (0,0)
-    assert loops.real_form_defect(C, 0) == pytest.approx(1e-6)
-    C[0, 1, 1] -= 1e-6
-    C[1, 0, 0] = 2e-6                   # diagonal entry at odd degree
-    assert loops.real_form_defect(C, 0) == pytest.approx(2e-6)
-    C[1, 0, 0] = np.nan
-    assert math.isnan(loops.real_form_defect(C, 0))
+    assert row.shape == row_t.shape == (3, 2)
+    assert loops.sup_abs(row - want) < 1e-13 * max(1.0, loops.sup_abs(want))
+    assert loops.sup_abs(row_t - want_t) < 1e-13 * max(1.0,
+                                                       loops.sup_abs(want_t))
 
 
 def test_product_parity_is_closed():
@@ -273,12 +261,22 @@ def test_truncated_exponential_is_unitary():
 def test_scaled_identity_is_flagged():
     a = pf.from_coeff(0, 1.1 * np.eye(2))
     assert pf.unitarity_check(a, (1.0,)) >= 0.21 - 1e-12
+    assert pf.unitarity_check(a, ()) == 0.0
 
 
-def test_one_unitarity_residual_serves_loops_and_frames():
-    from psfront import frames
-    assert frames.unitarity_residual is loops.unitarity_residual
-    assert pf.unitarity_check(exp_loop(1.0), ()) == 0.0
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-6, 0), st.integers(0, 5), st.floats(0.5, 2.0),
+       st.integers(0, 1), st.integers(0, 2 ** 31 - 1))
+def test_packed_unitarity_matches_unitarity_residual(kmin, klen, lam, entry,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(3, klen + 1)) + 1j * rng.normal(size=(3, klen + 1))
+    U = loops.eval_coeffs(loops.unpack(p, kmin), kmin, lam)
+    row = U[:, 0]
+    want = loops.unitarity_residual(U)
+    assert abs(loops.packed_unitarity(row) - want) <= 1e-15 * max(1.0, want)
+    row[1, entry] = np.nan
+    assert math.isnan(loops.packed_unitarity(row))
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psfront as pf
+from conftest import connection_blocks
 from psfront import loops, sym
 from psfront.sym import E1, E2, E3, StructureError
 
@@ -113,21 +114,16 @@ def test_surface_grid_rejects_nan_normal(ps_run):
         sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
 
 
-def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
+def test_nan_frame_node_fails_sym_immersion(ps_run):
     field = copy.copy(ps_run.field)
     field.Uhat = ps_run.field.Uhat.copy()
     field.Uhat[6, 5, field.n_trunc] = np.nan
-    with pytest.raises(StructureError, match="not su"):
-        pf.sym_immersion(field, 1.0)
-
-    def coordinates(X, tol=None):                  # su2_to_r3 without its gate
-        return np.stack([np.imag(X[..., 0, 1] + X[..., 1, 0]),
-                         np.real(X[..., 1, 0] - X[..., 0, 1]),
-                         np.imag(X[..., 0, 0] - X[..., 1, 1])], axis=-1)
-
-    monkeypatch.setattr(sym, "su2_to_r3", coordinates)
-    with pytest.raises(StructureError, match="normal norm defect"):
-        pf.sym_immersion(field, 1.0)
+    for conn in (None, ps_run.conn):
+        with pytest.raises(StructureError, match=r"not su\(2\): defect nan"):
+            pf.sym_immersion(field, 1.0, conn=conn)
+    # no tolerance lets a NaN through the gate
+    with pytest.raises(StructureError, match=r"defect nan > inf"):
+        pf.sym_immersion(field, 1.0, structure_tol=np.inf)
 
 
 def test_surface_grid_carries_metadata(ps_run):
@@ -149,6 +145,7 @@ def reference_fields(field, conn, lam):
     Ue = np.einsum("xydab,d->xyab", U, w.astype(complex))
     Ut = np.einsum("xydab,d->xyab", U, (degs * w).astype(complex))
     Ui = loops.mat_inv2(Ue)
+    w1_0, w1_1, w2_m1 = connection_blocks(conn)
 
     def r3(X):                          # coordinates only; no structure gate
         return pf.su2_to_r3(X, tol=np.inf)
@@ -163,10 +160,10 @@ def reference_fields(field, conn, lam):
     f = r3(np.einsum("xyab,xybc->xyac", Ut, Ui))
     nrm = r3(np.einsum("xyab,bc,xycd->xyad", Ue, E3, Ui))
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
-    fx = ad(lam * conn.omega1_c1)
-    fy = ad(-conn.omega2_cm1 / lam)
-    Nx = ad(bracket_e3(conn.omega1_c0 + lam * conn.omega1_c1))
-    Ny = ad(bracket_e3(conn.omega2_cm1 / lam))
+    fx = ad(lam * w1_1)
+    fy = ad(-w2_m1 / lam)
+    Nx = ad(bracket_e3(w1_0 + lam * w1_1))
+    Ny = ad(bracket_e3(w2_m1 / lam))
     return dict(f=f, N=nrm, fx=fx, fy=fy, Nx=Nx, Ny=Ny)
 
 
@@ -229,13 +226,13 @@ unit_range = st.floats(-2.0, 2.0)
 @example(c=(0.0, 1.0, 0.0, 5e-324), v=(0.0, 1.0, 0.0))
 def test_rotation_of_a_non_unit_frame(c, v):
     a, b = complex(c[0], c[1]), complex(c[2], c[3])
-    _, cols, Ue = sym._frame_at(packed_frame(a, b), 1.0, np.inf)
+    _, cols, row = sym._frame_at(packed_frame(a, b), 1.0, np.inf)
     R = np.stack([col[0, 0] for col in cols], axis=-1)
-    np.testing.assert_allclose(Ue[0, 0], [[a, b], [-np.conj(b), np.conj(a)]])
+    np.testing.assert_allclose(row[0, 0], [a, b])
     assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
     assert abs(np.linalg.det(R) - 1.0) < 1e-14
     X = v[0] * E1 + v[1] * E2 + v[2] * E3
-    U = Ue[0, 0]
+    U = np.array([[a, b], [-np.conj(b), np.conj(a)]])
     want = pf.su2_to_r3(U @ X @ np.linalg.inv(U))
     np.testing.assert_allclose(R @ np.array(v), want, atol=1e-14)
 
@@ -245,32 +242,47 @@ def test_connection_vectors_in_closed_form(run_name, request):
     conn = request.getfixturevalue(run_name).conn
     alpha = np.broadcast_to(conn.alpha[:, None], conn.phihat.shape)
     zero = np.zeros_like(conn.phihat)
+    _, w1_1, w2_m1 = connection_blocks(conn)
     np.testing.assert_allclose(
-        pf.su2_to_r3(conn.omega1_c1),
+        pf.su2_to_r3(w1_1),
         np.stack([np.cos(alpha), -np.sin(alpha), zero], -1), atol=1e-15)
     np.testing.assert_allclose(
-        pf.su2_to_r3(conn.omega2_cm1),
+        pf.su2_to_r3(w2_m1),
         np.stack([-np.cos(conn.phihat), -np.sin(conn.phihat), zero], -1),
         atol=1e-15)
 
 
-def test_one_su2_gate_per_lambda(ps_run, monkeypatch):
-    calls = []
-    orig = sym.su2_to_r3
-
-    def counting(X, tol=1e-8):
-        calls.append(X.shape)
-        return orig(X, tol=tol)
-
-    monkeypatch.setattr(sym, "su2_to_r3", counting)
+def test_one_su2_gate_per_lambda(ps_run):
+    # the gate reads 2 max |Re s| off the packed rows; su2_to_r3 reports the
+    # same defect for f = U_t U^-1 assembled as a 2x2 matrix
+    field = copy.copy(ps_run.field)
+    field.Uhat = ps_run.field.Uhat.copy()
+    field.Uhat[..., field.n_trunc] += 1e-3
+    N = field.n_trunc
+    U = loops.unpack(field.Uhat, -N)
+    degs = np.arange(-N, N + 1)
     for lam in (0.5, 2.0):
-        pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
-    assert calls == [(129, 129, 2, 2)] * 2
+        w = lam ** degs.astype(float)
+        Ue = np.einsum("xydab,d->xyab", U, w.astype(complex))
+        Ut = np.einsum("xydab,d->xyab", U, (degs * w).astype(complex))
+        X = np.einsum("xyab,xybc->xyac", Ut, loops.mat_inv2(Ue))
+        with pytest.raises(StructureError) as want:
+            pf.su2_to_r3(X, tol=0.0)
+        with pytest.raises(StructureError) as got:
+            pf.sym_immersion(field, lam, conn=ps_run.conn, structure_tol=0.0)
+        assert str(got.value) == str(want.value)
+        defect = float(str(want.value).split()[3])
+        assert defect > 1e-4
+        pf.sym_immersion(field, lam, structure_tol=1.01 * defect)
 
 
 def test_surface_carries_frame_unitarity(ps_run, kink_run):
     for run in (ps_run, kink_run):
+        N = run.field.n_trunc
+        U = loops.unpack(run.field.Uhat, -N)
         for lam, S in run.surfaces.items():
-            Ue = loops.packed_eval(run.field.Uhat, -run.field.n_trunc, lam)[0]
-            assert S.unitarity == loops.unitarity_residual(Ue)
+            row = loops.packed_eval(run.field.Uhat, -N, lam)[0]
+            assert S.unitarity == loops.packed_unitarity(row)
+            Ue = loops.eval_coeffs(U, -N, lam)
+            assert abs(S.unitarity - loops.unitarity_residual(Ue)) <= 1e-15
     assert ps_run.surfaces[1.0].unitarity < 1e-12
