@@ -11,6 +11,11 @@ assembles the extended frame U_hat = U_plus L_minus. extract_connection then
 reads the two angle fields off the factors and cross-checks the result
 against finite differences of U_hat itself.
 
+Every node's work is independent, so both the build and that cross-check
+stream blocks of whole x rows, about BLOCK_NODES nodes each, through the same
+per-node arithmetic: their temporaries stay the size of a block whatever the
+grid, and the results do not depend on the block size in any bit.
+
 The ladder truncated at degree k is the generating function of the implicit
 trapezoid one-step scheme, which is exactly unitary for real lambda; unitarity
 defects of the assembled frame are therefore pure truncation tails.
@@ -27,6 +32,11 @@ from .loops import (DEFAULT_TRUNC, TwistedLoop, eval_coeffs, inverse_coeffs,
                     mul_coeffs, pack, packed_adjugate, packed_eval, packed_mul,
                     packed_unitarity, sup_abs, unpack)
 from .potentials import eta_minus, eta_plus
+
+
+# nodes per block of the per-node work; bounds the build's and the shape
+# check's temporaries independently of the grid size
+BLOCK_NODES = 1024
 
 
 class GridError(ValueError):
@@ -136,29 +146,33 @@ def integrate_half_frame(spec, axis, grid, n_trunc=DEFAULT_TRUNC):
 # ---------------------------------------------------------------------------
 # Birkhoff splitting
 
-def _split_negative(ge, go, N):
+def _split_negative(ge, go, N, where):
     """One column of the normalized nonpositive factor, for a batch of loops.
 
     By twist parity a column of L_minus is one scalar per degree, x_m =
     L_m[row(m), c] with row(m) alternating with m. ge and go (nodes, 2N+1;
     degrees -N..N) hold G_i[row(m + i), row(m)] for m even and m odd. Kills
     degrees -1..-N of G L_minus with x_0 = 1; returns x at degrees -N..0.
+    A singular system raises SplitError naming where(i), i the first
+    singular loop of the batch.
     """
-    nodes = ge.shape[0]
     k = np.arange(N)                   # equation di at degree -1-di, unknown ki at -1-ki
     toeplitz = N + k[None, :] - k[:, None]
     odd = np.broadcast_to((k + 1) % 2, (N, N))
-    x = np.empty((nodes, N + 1), complex)
+    M = np.stack([ge, go], axis=1)[:, odd, toeplitz]
+    rhs = -ge[:, N - 1 - k, None]
+    x = np.empty((ge.shape[0], N + 1), complex)
     x[:, N] = 1.0
-    chunk = 8192                       # bounds the dense Toeplitz workspace
-    for s in range(0, nodes, chunk):
-        M = np.stack([ge[s:s + chunk], go[s:s + chunk]], axis=1)[:, odd, toeplitz]
-        rhs = -ge[s:s + chunk, N - 1 - k]
-        try:
-            x[s:s + chunk, N - 1 - k] = np.linalg.solve(M, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SplitError(f"singular Toeplitz system in nodes "
-                             f"[{s}, {s + M.shape[0]}): {exc}") from None
+    try:
+        x[:, N - 1 - k] = np.linalg.solve(M, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        for i in range(len(M)):        # error path only: find the loop
+            try:
+                np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                raise SplitError(f"singular Toeplitz system at {where(i)}: "
+                                 f"{exc}") from None
+        raise
     return x
 
 
@@ -181,8 +195,10 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
     go = Gc[:, np.arange(2 * N + 1), 1 - par, 1]
     Lm = np.zeros((1, N + 1, 2, 2), complex)
     par = par[:N + 1]                                # degrees -N..0
-    Lm[0, np.arange(N + 1), par, 0] = _split_negative(ge, go, N)[0]
-    Lm[0, np.arange(N + 1), 1 - par, 1] = _split_negative(go, ge, N)[0]
+    Lm[0, np.arange(N + 1), par, 0] = _split_negative(
+        ge, go, N, lambda i: "column 0")[0]
+    Lm[0, np.arange(N + 1), 1 - par, 1] = _split_negative(
+        go, ge, N, lambda i: "column 1")[0]
     GL = mul_coeffs(Gc, Lm, -N, -N, -2 * N, 3 * N + 1)
     residual = sup_abs(GL[:, :2 * N])
     if not residual <= residual_tol:
@@ -242,15 +258,21 @@ def tail_tolerance(floor, n_trunc, reach, lam_amp):
     return max(floor, 50.0 * truncation_tail(n_trunc, reach, lam_amp))
 
 
+def _row_blocks(nx, ny):
+    """Slices of whole x rows, about BLOCK_NODES nodes each (one row at least)."""
+    step = max(1, BLOCK_NODES // ny)
+    return [slice(i, min(i + step, nx)) for i in range(0, nx, step)]
+
+
 def build_frame_field(up, um, consistency_tol=None):
     """Glue two half-frame families into the frame field over the grid.
 
     The one-dimensional families are integrated once; the per-node work is the
-    Toeplitz solve and a handful of window products, vectorized over the whole
-    grid on packed loops; a family with a non-finite coefficient raises
-    SplitError. The unitarity tolerance, and the consistency one unless given,
-    follow the truncation tail of the ladder, which is what those defects
-    consist of.
+    Toeplitz solve and a handful of window products on packed loops, run over
+    blocks of whole x rows; a family with a non-finite coefficient, or a
+    singular Toeplitz system, raises SplitError, the latter naming the node.
+    The unitarity tolerance, and the consistency one unless given, follow the
+    truncation tail of the ladder, which is what those defects consist of.
     """
     if up.axis != "x" or um.axis != "y":
         raise GridError("expected an x-axis family and a y-axis family")
@@ -272,24 +294,38 @@ def build_frame_field(up, um, consistency_tol=None):
     nx, ny = len(up.nodes), len(um.nodes)
     # the y family's inverse on the 2x2 kernel: ny x (N+1) coefficients only
     Vinv = pack(inverse_coeffs(unpack(um.coeffs, -N), -N, -N, N + 1), -N)
-    Up = up.coeffs[:, None]                       # (nx, 1, N+1), 0..N
     Um = um.coeffs[None, :]                       # (1, ny, N+1), -N..0
-    # G(x, y) = U_minus(y)^{-1} U_plus(x), degrees -N..N
-    G = packed_mul(Vinv[None, :], Up, -N, 0, -N, 2 * N + 1).reshape(nx * ny, -1)
-    # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even degrees
-    # and -conj(p) on odd ones, for G and for the solution alike
+    Uhat = np.empty((nx, ny, 2 * N + 1), complex)
+    Lp = np.empty((nx, ny, N + 1), complex)
+    Lm = np.empty((nx, ny, N + 1), complex)
+    split_res = np.empty((nx, ny))
+    consistency = np.empty((nx, ny))
     o = (N + 1) % 2                                            # first odd slot
-    ge, go = G.copy(), G.conj()
-    ge[:, o::2], go[:, o::2] = -go[:, o::2], G[:, o::2]
-    Lm = _split_negative(ge, go, N)
-    Lm[:, o::2] = -Lm[:, o::2].conj()
-    GL = packed_mul(G, Lm, -N, -N, -2 * N, 3 * N + 1)
-    Lp = GL[:, 2 * N:].reshape(nx, ny, N + 1).copy()   # GL itself is not kept
-    split_res = np.abs(GL[:, :2 * N]).max(axis=1).reshape(nx, ny)
-    Lm = Lm.reshape(nx, ny, N + 1)
-    Uhat = packed_mul(Up, Lm, 0, -N, -N, 2 * N + 1)
-    consistency = np.abs(
-        Uhat - packed_mul(Um, Lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
+
+    def node_at(i):
+        ix, iy = divmod(i, ny)
+        return (f"node (ix, iy) = ({ix}, {iy}), (x, y) = "
+                f"({up.nodes[ix]:g}, {um.nodes[iy]:g})")
+
+    for rows in _row_blocks(nx, ny):
+        Up = up.coeffs[rows, None]                # (rows, 1, N+1), 0..N
+        # G(x, y) = U_minus(y)^{-1} U_plus(x), degrees -N..N
+        G = packed_mul(Vinv[None, :], Up, -N, 0, -N, 2 * N + 1).reshape(
+            -1, 2 * N + 1)
+        # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even
+        # degrees and -conj(p) on odd ones, for G and for the solution alike
+        ge, go = G.copy(), G.conj()
+        ge[:, o::2], go[:, o::2] = -go[:, o::2], G[:, o::2]
+        lm = _split_negative(ge, go, N,
+                             lambda i: node_at(rows.start * ny + i))
+        lm[:, o::2] = -lm[:, o::2].conj()
+        GL = packed_mul(G, lm, -N, -N, -2 * N, 3 * N + 1)
+        Lp[rows] = GL[:, 2 * N:].reshape(-1, ny, N + 1)
+        split_res[rows] = np.abs(GL[:, :2 * N]).max(axis=1).reshape(-1, ny)
+        Lm[rows] = lm.reshape(-1, ny, N + 1)
+        Uhat[rows] = packed_mul(Up, Lm[rows], 0, -N, -N, 2 * N + 1)
+        consistency[rows] = np.abs(Uhat[rows] - packed_mul(
+            Um, Lp[rows], -N, 0, -N, 2 * N + 1)).max(axis=-1)
     field = FrameField(
         up.nodes, um.nodes, N, up.spec, Uhat, Lp, Lm, split_res, consistency,
         {lam: packed_unitarity(packed_eval(Uhat, -N, lam)[0])
@@ -364,7 +400,11 @@ def extract_connection(field, shape_tol=None):
 
 
 def _shape_check(field, alpha, beta, phihat, r, tol):
-    """Compare FD frame derivatives against the expected connection pattern."""
+    """Compare FD frame derivatives against the expected connection pattern.
+
+    W1 = U_hat^{-1} d_x U_hat and W2 = U_hat^{-1} d_y U_hat are formed one
+    row block at a time; only their pattern degrees are kept for the grid.
+    """
     hx, hy = spacing(field)
     if tol is None:
         h = max(hx, hy)
@@ -374,25 +414,35 @@ def _shape_check(field, alpha, beta, phihat, r, tol):
         tol = max(0.5 * h, 8.0 * h * h)
     N = field.n_trunc
     U = field.Uhat
-    Uinv = packed_adjugate(U, -N)            # det U_hat = 1 up to truncation tail
-    # packed on degrees -3..3: entry (0, 0) on even degrees, (0, 1) on odd
-    W1 = packed_mul(Uinv, d_x(U, hx), -N, -N, -3, 7)
-    W2 = packed_mul(Uinv, d_y(U, hy), -N, -N, -3, 7)
-    defects = {}
-    # off-pattern degrees
-    defects["w1 degrees outside {0,1}"] = max(
-        sup_abs(W1[:, :, [0, 1, 2]]), sup_abs(W1[:, :, [5, 6]]))
-    defects["w2 degrees outside {-1}"] = max(
-        sup_abs(W2[:, :, [0, 1]]), sup_abs(W2[:, :, [4, 5, 6]]))
+    nx, ny = U.shape[:2]
+    off1, off2 = [], []
+    w1_0 = np.empty((nx, ny), complex)       # degree 0 of W1
+    w2_m1 = np.empty((nx, ny), complex)      # degree -1 of W2
+    for rows in _row_blocks(nx, ny):
+        # a one-row halo for d_x, three rows at a grid edge for its
+        # one-sided stencil
+        lo = max(0, min(rows.start - 1, nx - 3))
+        hi = min(nx, max(rows.stop + 1, 3))
+        inner = slice(rows.start - lo, rows.stop - lo)
+        Ub = U[rows]
+        Uinv = packed_adjugate(Ub, -N)   # det U_hat = 1 up to truncation tail
+        # packed on degrees -3..3: entry (0, 0) on even degrees, (0, 1) on odd
+        W1 = packed_mul(Uinv, d_x(U[lo:hi], hx)[inner], -N, -N, -3, 7)
+        W2 = packed_mul(Uinv, d_y(Ub, hy), -N, -N, -3, 7)
+        off1.append(sup_abs(W1[:, :, [0, 1, 2, 5, 6]]))
+        off2.append(sup_abs(W2[:, :, [0, 1, 4, 5, 6]]))
+        w1_0[rows], w2_m1[rows] = W1[:, :, 3], W2[:, :, 2]
+    # off-pattern degrees; sup_abs keeps a NaN that max() would drop
+    defects = {"w1 degrees outside {0,1}": sup_abs(off1),
+               "w2 degrees outside {-1}": sup_abs(off2)}
     # field agreement
-    r_fd = np.real(-2j * W1[:, :, 3])
+    r_fd = np.real(-2j * w1_0)
     defects["r vs FD"] = sup_abs(r_fd - r)
-    p_fd = -2.0 * W2[:, :, 2]                # = i e^{i phihat} + O(h^2)
+    p_fd = -2.0 * w2_m1                      # = i e^{i phihat} + O(h^2)
     phi_fd = np.unwrap(np.angle(p_fd / 1j), axis=0)
     phi_fd -= phi_fd[field.i0x:field.i0x + 1, :] - beta[None, :]
     defects["phihat vs FD"] = sup_abs(phi_fd - phihat)
-    defects["w2 off-diagonal modulus vs 1/2"] = sup_abs(
-        np.abs(W2[:, :, 2]) - 0.5)
+    defects["w2 off-diagonal modulus vs 1/2"] = sup_abs(np.abs(w2_m1) - 0.5)
     defects["r vs -d phihat/dx"] = sup_abs(d_x(phihat, hx) + r)
     worst = max(defects, key=lambda k: (math.isnan(defects[k]), defects[k]))
     if not defects[worst] <= tol:

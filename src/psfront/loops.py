@@ -15,7 +15,7 @@ unpack convert it to and from 2x2 matrices.
 
 All products and inverses are window-truncated and reduce to one kernel,
 scalar_conv, a shift-add over the coefficients of its first factor, with
-arbitrary leading batch axes so that whole grids of loops are processed in
+arbitrary leading batch axes so that a block of grid nodes is processed in
 one call. The general complex product mul_coeffs is the reference for
 packed_mul; the TwistedLoop class wraps a single loop for the public
 operations.

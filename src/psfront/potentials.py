@@ -209,12 +209,18 @@ def from_json(source):
                 obj = json.load(fh)
     else:
         obj = source
+    if not isinstance(obj, dict):
+        raise ValueError(f"potential must be a JSON object, got {obj!r}")
     step = float(obj.get("step", DEFAULT_STEP))
     interval = tuple(obj.get("interval", DEFAULT_INTERVAL))
     interp = obj.get("interpolation", "piecewise-linear")
     for key in ("alpha", "beta"):
         if key not in obj:
             raise ValueError(f"potential config missing {key!r}")
+        side = obj[key]
+        if not isinstance(side, dict) or not {"preset", "samples"} & set(side):
+            raise ValueError(f"potential {key!r} must be an object with "
+                             f"'preset' or 'samples', got {side!r}")
     a, b = obj["alpha"], obj["beta"]
     if "preset" in a or "preset" in b:
         if a.get("preset") != b.get("preset"):

@@ -33,6 +33,8 @@ under the inner product <A, B> = -2 tr(A B), so that [e1, e2] maps to the
 cross product e1 x e2 = (0, 0, 1).
 """
 
+import math
+
 import numpy as np
 
 from .frames import tail_tolerance
@@ -111,6 +113,14 @@ def _frame_at(field, lam0, structure_tol):
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
+    for k in (field.n_trunc, -field.n_trunc):
+        try:
+            finite = math.isfinite(k * float(lam0) ** k)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"lambda={lam0:g} overflows the frame's degree "
+                             f"window: lambda^{k} is out of float range")
     if structure_tol is None:
         reach = max(np.abs(field.x).max(), np.abs(field.y).max())
         structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
@@ -137,7 +147,8 @@ def _frame_at(field, lam0, structure_tol):
 def sym_immersion(field, lam0, conn=None, structure_tol=None):
     """Surface and unit normal at evaluation point lam0 > 0.
 
-    The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k.
+    The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k;
+    a lam0 for which that overflows on the degree window raises ValueError.
     The returned SurfaceGrid carries the unitarity residual of U_hat(lam0),
     and with a connection given, the exact tangent and normal-derivative
     fields.

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,8 +277,6 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "lambda values 1.00001 and 1.000012 share the file label '1.00001'"),
     (["verify", "--preset", "pseudosphere", "--grid", "9", "--lambda", "inf"],
      "must be positive and finite, got inf"),
-    (["verify", "--preset", "pseudosphere", "--grid", "9",
-      "--lambda", "1e300"], "not su(2): defect nan > inf"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -285,6 +284,19 @@ def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     err = capsys.readouterr().err
     assert "psfront: error" in err
     assert needle in err
+
+
+@pytest.mark.parametrize("lam,degree", [("1e300", 16), ("1e-300", -16)])
+def test_overflowing_lambda_exits_2(tmp_path, capsys, lam, degree):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["verify", "--preset", "pseudosphere", "--grid", "9",
+                       "--lambda", lam, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"lambda={float(lam):g} overflows" in err
+    assert f"lambda^{degree} is out of float range" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_preset_in_config_file_exits_2(tmp_path, capsys):
@@ -301,6 +313,8 @@ def test_unknown_preset_in_config_file_exits_2(tmp_path, capsys):
     ({"lambdas": 1.0}, "lambdas must be a list of numbers, got 1.0"),
     ({"interval": 3}, "interval must be a list of numbers, got 3"),
     ({"tolerances": [1]}, "tolerances must map names to numbers, got [1]"),
+    ({"potential": {"alpha": 3, "beta": 3}},
+     "potential 'alpha' must be an object with 'preset' or 'samples', got 3"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, capsys, config, needle):
     cfg = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 """Half-frame integration, Birkhoff splitting, frame assembly, connection data."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_family_with_nan_rejected(axis, node, degree):
         pf.build_frame_field(up, um)
 
 
-def test_nan_in_built_field_fails_the_gates():
+def test_nan_in_built_field_fails_the_gates(monkeypatch):
     up, um = small_families()
     field = pf.build_frame_field(up, um)
     field.consistency[2, 3] = np.nan
@@ -279,6 +280,66 @@ def test_nan_in_built_field_fails_the_gates():
     field.Uhat[6, 5, field.n_trunc] = np.nan
     with pytest.raises(ConnectionShapeError, match="nan"):
         pf.extract_connection(field)
+    # blocks of 3 rows: row 15 is the first line of the last block and the
+    # halo of the one before; a max() across blocks would drop the NaN there
+    monkeypatch.setattr(frames, "BLOCK_NODES", 3 * len(field.y))
+    field.Uhat[6, 5, field.n_trunc] = 1.0
+    pf.extract_connection(field)
+    field.Uhat[15, 5, field.n_trunc] = np.nan
+    with pytest.raises(ConnectionShapeError,
+                       match=r"'w1 degrees outside \{0,1\}' = nan"):
+        pf.extract_connection(field)
+
+
+def test_singular_split_names_the_grid_node():
+    up, um = small_families()
+    up.coeffs[3] = 0.0                   # finite, but G = 0 along row 3
+    with pytest.raises(SplitError, match=r"singular Toeplitz system at node "
+                       r"\(ix, iy\) = \(3, 0\), \(x, y\) = \(-1.25, -2\)"):
+        pf.build_frame_field(up, um)
+
+
+def field_arrays(field, conn):
+    return (field.Uhat, field.Lp, field.Lm, field.split_residual,
+            field.consistency, conn.phihat, conn.r)
+
+
+@pytest.mark.parametrize("block", ["under one line", "5 lines + 3", "all"])
+def test_block_size_does_not_change_a_bit(monkeypatch, block):
+    spec = pf.preset_c0_kink(0.5)
+    x, y = np.linspace(-2, 2, 65), np.linspace(-1, 1, 33)
+    up = pf.integrate_half_frame(spec, "x", x, n_trunc=12)
+    um = pf.integrate_half_frame(spec, "y", y, n_trunc=12)
+    field = pf.build_frame_field(up, um)     # blocks of 31 rows by default
+    conn = pf.extract_connection(field)
+    monkeypatch.setattr(frames, "BLOCK_NODES", {
+        "under one line": 5, "5 lines + 3": 5 * len(y) + 3,
+        "all": 10 * len(x) * len(y)}[block])
+    field_b = pf.build_frame_field(up, um)
+    conn_b = pf.extract_connection(field_b)
+    for a, b in zip(field_arrays(field, conn), field_arrays(field_b, conn_b)):
+        assert np.array_equal(a, b)
+    assert field_b.unitarity == field.unitarity
+    assert conn_b.shape_report == conn.shape_report
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_build_and_extraction_memory_is_bounded(n):
+    # peak traced bytes above what the call still holds on return: the
+    # per-node work runs in blocks, so no whole-grid temporary is made
+    up, um = small_families(n)
+    tracemalloc.start()
+    try:
+        field = pf.build_frame_field(up, um)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - held <= 16 * 2 ** 20
+        tracemalloc.reset_peak()
+        conn = pf.extract_connection(field)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - held <= 16 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert conn.shape_report
 
 
 # -- connection extraction ---------------------------------------------------
