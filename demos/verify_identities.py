@@ -2,8 +2,8 @@
 
 Each line is an independent consequence of the construction: if any one of
 them drifted, something upstream (integration, factorization or the
-reconstruction formula) would be broken. This is the library-level view of
-what the `psfront verify` subcommand reports.
+reconstruction formula) would be broken. The checks are the rows of
+psfront.analysis.CHECKS, the table the `psfront verify` subcommand reads.
 """
 
 import numpy as np
@@ -18,32 +18,14 @@ field = pf.build_frame_field(up, um)
 conn = pf.extract_connection(field)
 omega = conn.phihat + conn.alpha[:, None]
 S = pf.sym_immersion(field, 1.0, conn=conn)
-h = float(x[1] - x[0])
+forms = pf.fundamental_forms(S)
+zcc = float(pf.zcc_residual(conn).max())
 
-g = pf.fundamental_forms(S)
-print(f"first form:   E {np.abs(g.E - 1).max():.2e}"
-      f"   G {np.abs(g.G - 1).max():.2e}"
-      f"   F vs cos(omega) {np.abs(g.F - np.cos(omega)).max():.2e}")
-print(f"second form:  ell {np.abs(g.ell).max():.2e}"
-      f"   n {np.abs(g.n).max():.2e}"
-      f"   m vs sin(omega) {np.abs(g.m - np.sin(omega)).max():.2e}")
-print(f"curvature:    K + 1 = {np.nanmax(np.abs(g.K + 1)):.2e}"
-      f" on {g.regular_count} regular nodes")
-
-zcc = pf.zcc_residual(conn)
-print(f"connection:   compatibility residual {zcc.max():.2e}")
-
-sg = pf.sine_gordon_residual(omega, h, h)
-harm, _ = pf.harmonicity_residual(S, omega)
-print(f"angle field:  sine-Gordon defect {np.nanmax(np.abs(sg)):.2e}")
-print(f"normal field: mixed-derivative law {np.nanmax(harm):.2e}")
-
-strong = np.abs(np.sin(omega)) > 0.3
-for direction in ("x", "y"):
-    tau = pf.asymptotic_torsion(S, direction)
-    vals = tau[strong & np.isfinite(tau)]
-    print(f"torsion ({direction}):  mean {vals.mean():+.6f}"
-          f"   spread {np.abs(np.abs(vals) - 1).max():.2e}")
+# one line per row of the table psfront verify checks
+for name, tol, residual in pf.analysis.CHECKS:
+    value = residual(S, forms, omega, zcc)
+    print(f"{name:<25} {value:.2e}   tolerance {tol:g}")
+print(f"regular nodes             {forms.regular_count}")
 
 nsc = pf.normal_sign_comparison(S, omega)
 print(f"orientation:  cross-product normal agrees: {nsc['agree']}"

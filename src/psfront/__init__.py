@@ -22,8 +22,7 @@ from .frames import (ConnectionField, ConnectionShapeError, FrameField,
                      GridError, HalfFrameFamily, SplitError, birkhoff_split,
                      build_frame_field, extract_connection,
                      integrate_half_frame, truncation_tail, zcc_residual)
-from .sym import (E1, E2, E3, StructureError, SurfaceGrid,
-                  analytic_normal_derivatives, analytic_tangents, su2_to_r3,
+from .sym import (E1, E2, E3, StructureError, SurfaceGrid, su2_to_r3,
                   sym_immersion)
 from .analysis import (FrameReport, GeometryReport, angle_field,
                        asymptotic_torsion, complete_frame, front_from_normal,

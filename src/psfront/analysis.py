@@ -4,7 +4,8 @@ Everything here consumes a SurfaceGrid and reports how well it satisfies the
 identities a constant-curvature front must satisfy. The ops prefer the exact
 tangent and normal-derivative fields attached by the builder when present and
 fall back to order-2 finite differences, so the same checks run on surfaces
-from any source.
+from any source. CHECKS is the table of the residuals psfront verify gates,
+each with its name and default tolerance.
 """
 
 import warnings
@@ -243,6 +244,47 @@ def asymptotic_torsion(S, direction="x"):
     if direction != "x":
         tau = np.swapaxes(tau, 0, 1)
     return tau
+
+
+# ---------------------------------------------------------------------------
+# the table of checked residuals
+
+def _finite_sup(res, mask):
+    """Largest |res| over the finite entries inside mask, 0 if there are none."""
+    return sup_abs(res[mask & np.isfinite(res)])
+
+
+UNITARITY_CHECK = "unitarity residual"
+
+# (name, default tolerance, residual) of every identity psfront verify checks,
+# in its order. residual(S, rep, omega, zcc) reads the SurfaceGrid S, its
+# fundamental_forms rep, the angle field omega and the run's zero-curvature
+# sup zcc; the residual fields are this module's globals, looked up per call.
+CHECKS = (
+    ("K+1 residual", 1e-3,
+     lambda S, rep, omega, zcc: sup_abs(rep.K[rep.regular] + 1.0)),
+    ("first form E residual", 1e-8,
+     lambda S, rep, omega, zcc: sup_abs(rep.E - S.lam0 ** 2)),
+    ("first form G residual", 1e-8,
+     lambda S, rep, omega, zcc: sup_abs(rep.G - S.lam0 ** -2)),
+    ("first form F residual", 1e-6,
+     lambda S, rep, omega, zcc: sup_abs(rep.F - np.cos(omega))),
+    ("second form ell residual", 1e-5,
+     lambda S, rep, omega, zcc: sup_abs(rep.ell)),
+    ("second form n residual", 1e-5,
+     lambda S, rep, omega, zcc: sup_abs(rep.n)),
+    ("second form m residual", 1e-5,
+     lambda S, rep, omega, zcc: sup_abs(rep.m - np.sin(omega))),
+    (UNITARITY_CHECK, 1e-8, lambda S, rep, omega, zcc: S.unitarity),
+    ("zero-curvature residual", 2e-3, lambda S, rep, omega, zcc: zcc),
+    ("sine-Gordon residual", 2e-2, lambda S, rep, omega, zcc: float(
+        np.nanmax(np.abs(sine_gordon_residual(omega, *spacing(S)))))),
+    ("harmonicity residual", 5e-3, lambda S, rep, omega, zcc: _finite_sup(
+        harmonicity_residual(S, omega)[0], rep.regular)),
+    ("torsion deviation", 1e-2, lambda S, rep, omega, zcc: _finite_sup(
+        np.abs(asymptotic_torsion(S, "x")) - 1.0,
+        np.abs(np.sin(omega)) > 0.3)),
+)
 
 
 def front_from_normal(N, hx, hy, Nx=None, Ny=None):

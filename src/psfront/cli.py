@@ -28,21 +28,16 @@ from ._threads import apply_thread_env
 
 FMT = "%.17g"
 
-DEFAULT_TOLERANCES = (
-    ("K+1 residual", 1e-3),
-    ("first form E residual", 1e-8),
-    ("first form G residual", 1e-8),
-    ("first form F residual", 1e-6),
-    ("second form ell residual", 1e-5),
-    ("second form n residual", 1e-5),
-    ("second form m residual", 1e-5),
-    ("unitarity residual", 1e-8),
-    ("zero-curvature residual", 2e-3),
-    ("sine-Gordon residual", 2e-2),
-    ("harmonicity residual", 5e-3),
-    ("torsion deviation", 1e-2),
-)
-
+# sweep CSV column -> the check of analysis.CHECKS whose residual it holds
+SWEEP_COLUMNS = {
+    "E_defect": "first form E residual",
+    "G_defect": "first form G residual",
+    "F_defect": "first form F residual",
+    "ell_max": "second form ell residual",
+    "n_max": "second form n residual",
+    "m_defect": "second form m residual",
+    "K_defect": "K+1 residual",
+}
 
 CONFIG_KEYS = ("preset", "amplitude", "potential", "interval", "grid", "trunc",
                "lambdas", "tolerances", "out", "step")
@@ -87,7 +82,8 @@ class RunConfig:
         self.grid = _number("grid", grid, int)
         self.trunc = _number("trunc", trunc, int)
         self.lambdas = _numbers("lambdas", lambdas)
-        self.tolerances = dict(DEFAULT_TOLERANCES)
+        from . import analysis
+        self.tolerances = {name: tol for name, tol, _ in analysis.CHECKS}
         if not isinstance(tolerances, (dict, type(None))):
             raise ConfigError(f"tolerances must map names to numbers, got "
                               f"{tolerances!r}")
@@ -163,13 +159,14 @@ class RunConfig:
             kwargs["out"] = args.out
         tol_args = getattr(args, "tol", None)
         if tol_args and isinstance(kwargs.get("tolerances") or {}, dict):
+            from . import analysis
             tols = dict(kwargs.get("tolerances") or {})
             for entry in tol_args:
                 if "=" in entry:
                     name, _, val = entry.partition("=")
                     tols[name] = val
                 else:
-                    for name, _ in DEFAULT_TOLERANCES:
+                    for name, _, _ in analysis.CHECKS:
                         tols[name] = entry
             kwargs["tolerances"] = tols
         return cls(**kwargs)
@@ -373,49 +370,6 @@ def write_frame_glyphs(path, S, omega_field):
     write_csv(path, header, cols)
 
 
-# ---------------------------------------------------------------------------
-# verification checks
-
-def _form_residuals(rep, lam, omega):
-    """(name, residual) of the seven fundamental-form checks, verify's order."""
-    import numpy as np
-    regular = rep.regular
-    k_res = float(np.abs(rep.K[regular] + 1.0).max()) if regular.any() else 0.0
-    return [
-        ("K+1 residual", k_res),
-        ("first form E residual", float(np.abs(rep.E - lam ** 2).max())),
-        ("first form G residual", float(np.abs(rep.G - lam ** -2).max())),
-        ("first form F residual", float(np.abs(rep.F - np.cos(omega)).max())),
-        ("second form ell residual", float(np.abs(rep.ell).max())),
-        ("second form n residual", float(np.abs(rep.n).max())),
-        ("second form m residual", float(np.abs(rep.m - np.sin(omega)).max())),
-    ]
-
-
-def _checks_for(conn, S, lam, zcc_sup):
-    """Ordered (name, residual) pairs for one evaluation point."""
-    import numpy as np
-    from . import analysis
-    rep = analysis.fundamental_forms(S)
-    omega = _omega(conn)
-    strong = np.abs(np.sin(omega)) > 0.3
-
-    def masked(res, mask):
-        vals = res[mask & np.isfinite(res)]
-        return float(np.abs(vals).max()) if vals.size else 0.0
-
-    sg = analysis.sine_gordon_residual(omega, *analysis.spacing(S))
-    harm, _ = analysis.harmonicity_residual(S, omega)
-    tau = analysis.asymptotic_torsion(S, "x")
-    return _form_residuals(rep, lam, omega) + [
-        ("unitarity residual", S.unitarity),
-        ("zero-curvature residual", zcc_sup),
-        ("sine-Gordon residual", float(np.nanmax(np.abs(sg)))),
-        ("harmonicity residual", masked(harm, rep.regular)),
-        ("torsion deviation", masked(np.abs(tau) - 1.0, strong)),
-    ], int(rep.regular_count)
-
-
 def cmd_generate(args):
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
@@ -438,19 +392,21 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    from . import frames
+    from . import analysis, frames
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
+    omega = _omega(conn)
     zcc_sup = float(frames.zcc_residual(conn).max())
     summary = {"preset": cfg.name, "grid": cfg.grid, "trunc": cfg.trunc,
                "interval": list(cfg.interval), "lambdas": {}, "pass": True}
     first_fail = None
     for lam in cfg.lambdas:
         S = _surface(field, conn, lam)
-        checks, regular_nodes = _checks_for(conn, S, lam, zcc_sup)
-        entry = {"regular nodes": regular_nodes, "checks": {}}
-        for name, residual in checks:
+        rep = analysis.fundamental_forms(S)
+        entry = {"regular nodes": rep.regular_count, "checks": {}}
+        for name, _, check in analysis.CHECKS:
+            residual = check(S, rep, omega, zcc_sup)
             tol = cfg.tolerances[name]
             ok = residual < tol
             entry["checks"][name] = {"residual": residual, "tolerance": tol,
@@ -459,6 +415,7 @@ def cmd_verify(args):
                 first_fail = (name, residual, tol, lam)
             summary["pass"] = summary["pass"] and ok
         summary["lambdas"][f"{lam:g}"] = entry
+        del S, rep          # held while the next lambda runs, they set the peak
     path = os.path.join(cfg.out, f"verify_{cfg.name}_n{cfg.grid}.json")
     text = json.dumps(summary, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
@@ -521,7 +478,9 @@ def cmd_sweep(args):
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     omega = _omega(conn)
-    unit_tol = cfg.tolerances["unitarity residual"]
+    unit_tol = cfg.tolerances[analysis.UNITARITY_CHECK]
+    checks = {name: check for name, _, check in analysis.CHECKS}
+    columns = [checks[name] for name in SWEEP_COLUMNS.values()]
     rows = []
 
     def meshes():
@@ -531,16 +490,15 @@ def cmd_sweep(args):
                 print(f"warning: frame at lambda={lam:g} is not unitary "
                       f"(residual {S.unitarity:.3e})", file=sys.stderr)
             rep = analysis.fundamental_forms(S)
-            (_, k_res), *forms = _form_residuals(rep, lam, omega)
-            rows.append([lam] + [res for _, res in forms]    # E..m, then K
-                        + [k_res, float(rep.regular_count)])
+            rows.append([lam] + [check(S, rep, omega, None)
+                                 for check in columns]
+                        + [float(rep.regular_count)])
             if args.mesh:
                 yield (write_obj, os.path.join(
                     cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), S.f)
 
     _write_meshes(meshes(), len(cfg.lambdas) if args.mesh else 0)
-    header = ["lambda", "E_defect", "G_defect", "F_defect", "ell_max",
-              "n_max", "m_defect", "K_defect", "regular_nodes"]
+    header = ["lambda", *SWEEP_COLUMNS, "regular_nodes"]
     path = os.path.join(cfg.out, f"sweep_{cfg.name}_n{cfg.grid}.csv")
     write_csv(path, header, list(zip(*rows)))
     print(f"wrote {path}")

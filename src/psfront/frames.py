@@ -28,9 +28,10 @@ import numpy as np
 from . import loops
 from .analysis import cumtrapz_origin, d_x, d_y, spacing
 # eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
-from .loops import (DEFAULT_TRUNC, TwistedLoop, eval_coeffs, inverse_coeffs,
-                    mul_coeffs, pack, packed_adjugate, packed_eval, packed_mul,
-                    packed_unitarity, sup_abs, unpack)
+from .loops import (DEFAULT_TRUNC, MAX_DEGREE, TruncationOverflowError,
+                    TwistedLoop, eval_coeffs, inverse_coeffs, mul_coeffs, pack,
+                    packed_adjugate, packed_eval, packed_mul, packed_unitarity,
+                    sup_abs, unpack)
 from .potentials import eta_minus, eta_plus
 
 
@@ -125,10 +126,14 @@ def integrate_half_frame(spec, axis, grid, n_trunc=DEFAULT_TRUNC):
 
     The quadrature runs on the fine sample lattice; `grid` selects the display
     nodes, which must be lattice nodes (coarser display grids are a stride of
-    the lattice). Returns a HalfFrameFamily.
+    the lattice). Returns a HalfFrameFamily; an n_trunc above
+    loops.MAX_DEGREE raises TruncationOverflowError.
     """
     if axis not in ("x", "y"):
         raise GridError(f"axis must be 'x' or 'y', got {axis!r}")
+    if n_trunc > MAX_DEGREE:
+        raise TruncationOverflowError(
+            f"truncation degree {n_trunc} exceeds maximum degree {MAX_DEGREE}")
     lattice, sel, i0 = _lattice_for(spec, grid)
     h = spec.step
     eta = eta_plus if axis == "x" else eta_minus

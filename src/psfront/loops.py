@@ -249,12 +249,6 @@ def parity_violation(C, kmin):
     return sup_abs(C[..., _parity_zeros(kmin, C.shape[-3])])
 
 
-def mat_inv2(M):
-    """Pointwise inverse of 2x2 matrices, batched."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return adjugate_coeffs(M) / det[..., None, None]
-
-
 # ---------------------------------------------------------------------------
 # public wrappers
 

@@ -113,7 +113,8 @@ def _frame_at(field, lam0, structure_tol):
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
-    for k in (field.n_trunc, -field.n_trunc):
+    # |a|^2 and a_t conj(a) reach degree +-2 n_trunc
+    for k in (2 * field.n_trunc, -2 * field.n_trunc):
         try:
             finite = math.isfinite(k * float(lam0) ** k)
         except OverflowError:
@@ -147,8 +148,9 @@ def _frame_at(field, lam0, structure_tol):
 def sym_immersion(field, lam0, conn=None, structure_tol=None):
     """Surface and unit normal at evaluation point lam0 > 0.
 
-    The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k;
-    a lam0 for which that overflows on the degree window raises ValueError.
+    The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k,
+    and its products with U_hat reach degree +-2 n_trunc; a lam0 for which
+    k lam0^k overflows there raises ValueError.
     The returned SurfaceGrid carries the unitarity residual of U_hat(lam0),
     and with a connection given, the exact tangent and normal-derivative
     fields.
@@ -165,15 +167,3 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
         S.Nx = -lam0 * (sa * R[0] + ca * R[1])
         S.Ny = (cp * R[1] - sp * R[0]) / lam0
     return S
-
-
-def analytic_tangents(field, conn, lam0):
-    """Exact tangent fields f_x, f_y of sym_immersion (norms lam0, 1/lam0)."""
-    S = sym_immersion(field, lam0, conn=conn)
-    return S.fx, S.fy
-
-
-def analytic_normal_derivatives(field, conn, lam0):
-    """Exact normal derivatives N_x, N_y of sym_immersion."""
-    S = sym_immersion(field, lam0, conn=conn)
-    return S.Nx, S.Ny

@@ -1,5 +1,6 @@
 """Command line driver, exercised in process through main(argv)."""
 
+import collections
 import importlib.util
 import json
 import multiprocessing
@@ -14,6 +15,7 @@ import pytest
 
 import psfront
 import psfront.cli as cli
+from psfront import analysis
 
 
 def read_lines(path):
@@ -94,6 +96,68 @@ def test_verify_degenerate_image_passes_with_zero_regular_nodes(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "verify_vacuum_n17.json").read_text())
     assert summary["lambdas"]["1"]["regular nodes"] == 0
+
+
+# -- the table of checked residuals ------------------------------------------
+
+CHECK_NAMES = [name for name, _, _ in analysis.CHECKS]
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_each_check_gates_verify_under_its_own_name(tmp_path, capsys, name):
+    rc = cli.main(["verify", "--preset", "pseudosphere", "--grid", "33",
+                   "--tol", "1e300", "--tol", f"{name}=1e-300",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"FAIL: {name} = " in capsys.readouterr().err
+    summary = json.loads((tmp_path / "verify_pseudosphere_n33.json")
+                         .read_text())
+    checks = summary["lambdas"]["1"]["checks"]
+    assert list(checks) == sorted(CHECK_NAMES)
+    assert [k for k, c in checks.items() if not c["pass"]] == [name]
+
+
+@pytest.fixture(scope="module")
+def verify_and_sweep(tmp_path_factory):
+    """verify and sweep of one configuration; (JSON summary, CSV lines)."""
+    out = tmp_path_factory.mktemp("table")
+    argv = ["--preset", "c0_kink", "--amplitude", "0.5", "--grid", "33",
+            "--lambda", "0.5,1,2", "--out", str(out)]
+    assert cli.main(["verify"] + argv) in (0, 1)
+    assert cli.main(["sweep"] + argv) == 0
+    summary = json.loads((out / "verify_c0_kink0.5_n33.json").read_text())
+    return summary, read_lines(out / "sweep_c0_kink0.5_n33.csv")
+
+
+def test_sweep_columns_are_verify_residuals(verify_and_sweep):
+    summary, lines = verify_and_sweep
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, map(float, line.split(","))))
+        checks = summary["lambdas"][f"{row['lambda']:g}"]["checks"]
+        for column, name in cli.SWEEP_COLUMNS.items():
+            assert row[column] == checks[name]["residual"], (column, row)
+    assert len(lines) == 4
+
+
+def test_traced_verify_computes_each_field_once_per_lambda(tmp_path,
+                                                           monkeypatch):
+    traced = load_psbench(monkeypatch, "traced")
+    result = traced.traced_cli(["verify", "--preset", "pseudosphere",
+                                "--grid", "17", "--lambda", "0.5,1,2",
+                                "--out", str(tmp_path)])
+    names = collections.Counter(s["name"] for s in result["spans"])
+    assert (names["analysis.forms"], names["analysis.residuals"],
+            names["frames.zcc"]) == (3, 9, 1)
+
+
+def test_checks_match_the_benchmark_pins(verify_and_sweep, monkeypatch):
+    # psbench/run.py keeps its own copy of the bounds and the sweep columns
+    bench = load_psbench(monkeypatch, "run")
+    assert [(name, tol) for name, tol, _ in analysis.CHECKS] == \
+        list(bench.TOLERANCES.items())
+    assert list(cli.SWEEP_COLUMNS.items()) == list(bench.SWEEP_COLUMNS.items())
+    assert verify_and_sweep[1][0].split(",") == bench.SWEEP_HEADER
 
 
 # -- export ------------------------------------------------------------------
@@ -277,6 +341,8 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "lambda values 1.00001 and 1.000012 share the file label '1.00001'"),
     (["verify", "--preset", "pseudosphere", "--grid", "9", "--lambda", "inf"],
      "must be positive and finite, got inf"),
+    (["verify", "--preset", "pseudosphere", "--grid", "9", "--trunc", "65"],
+     "truncation degree 65 exceeds maximum degree 64"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -286,7 +352,10 @@ def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     assert needle in err
 
 
-@pytest.mark.parametrize("lam,degree", [("1e300", 16), ("1e-300", -16)])
+# |a|^2 reaches degree +-2 n_trunc = +-32: lambda = 1e9 still evaluates
+@pytest.mark.parametrize("lam,degree", [
+    ("1e300", 32), ("1e-300", -32), ("1e15", 32), ("1e19", 32),
+    ("1e-19", -32)])
 def test_overflowing_lambda_exits_2(tmp_path, capsys, lam, degree):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -296,6 +365,16 @@ def test_overflowing_lambda_exits_2(tmp_path, capsys, lam, degree):
     err = capsys.readouterr().err
     assert f"lambda={float(lam):g} overflows" in err
     assert f"lambda^{degree} is out of float range" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_largest_lambda_inside_the_window_evaluates(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["verify", "--preset", "pseudosphere", "--grid", "9",
+                       "--lambda", "1e9", "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    assert (tmp_path / "verify_pseudosphere_n9.json").is_file()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -515,19 +594,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         ["multiprocessing", "concurrent.futures"]) == "[]"
 
 
-def load_traced(monkeypatch):
+def load_psbench(monkeypatch, name):
+    """psbench/NAME.py as a module, read from the file; nothing is run."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # traced.py prepends src
-    path = Path(__file__).resolve().parents[1] / "psbench" / "traced.py"
-    spec = importlib.util.spec_from_file_location("psbench_traced", path)
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
-    return traced
+    path = Path(__file__).resolve().parents[1] / "psbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"psbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
     # the tracer wraps module attributes by name; a missing one raises
     # AttributeError in install
-    traced = load_traced(monkeypatch)
+    traced = load_psbench(monkeypatch, "traced")
     tracer = traced.Tracer()
     traced.install(tracer)
     saved = [(owner, attr, orig) for owner, attr, orig in tracer._restore]
@@ -540,7 +620,7 @@ def test_benchmark_tracer_wraps_and_restores_every_layer(monkeypatch):
 def test_traced_sweep_writes_its_meshes(tmp_path, monkeypatch):
     # forked workers inherit the traced writers; their spans stay in the
     # workers
-    traced = load_traced(monkeypatch)
+    traced = load_psbench(monkeypatch, "traced")
     result = traced.traced_cli(["sweep", "--preset", "pseudosphere",
                                 "--grid", "17", "--lambda", "0.5,1,2",
                                 "--mesh", "--out", str(tmp_path)])

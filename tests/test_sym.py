@@ -136,6 +136,12 @@ def test_surface_grid_carries_metadata(ps_run):
 
 # -- one frame evaluation per lambda -----------------------------------------
 
+def mat_inv2(M):
+    """Pointwise inverse of 2x2 matrices, batched."""
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return loops.adjugate_coeffs(M) / det[..., None, None]
+
+
 def reference_fields(field, conn, lam):
     """f, N, fx, fy, Nx, Ny from 3-operand einsum conjugations."""
     N = field.n_trunc
@@ -144,7 +150,7 @@ def reference_fields(field, conn, lam):
     U = loops.unpack(field.Uhat, -N)
     Ue = np.einsum("xydab,d->xyab", U, w.astype(complex))
     Ut = np.einsum("xydab,d->xyab", U, (degs * w).astype(complex))
-    Ui = loops.mat_inv2(Ue)
+    Ui = mat_inv2(Ue)
     w1_0, w1_1, w2_m1 = connection_blocks(conn)
 
     def r3(X):                          # coordinates only; no structure gate
@@ -189,10 +195,10 @@ def test_fields_match_einsum_reference(run_name, request):
         for name, want in ref.items():
             err = np.abs(getattr(S, name) - want).max()
             assert err <= 1e-13, (lam, name, err)
-        fx, fy = pf.analytic_tangents(run.field, run.conn, lam)
-        Nx, Ny = pf.analytic_normal_derivatives(run.field, run.conn, lam)
-        for got, name in ((fx, "fx"), (fy, "fy"), (Nx, "Nx"), (Ny, "Ny")):
-            assert np.array_equal(got, getattr(S, name)), (lam, name)
+        again = pf.sym_immersion(run.field, lam, conn=run.conn)
+        for name in ("fx", "fy", "Nx", "Ny"):
+            assert np.array_equal(getattr(again, name), getattr(S, name)), \
+                (lam, name)
 
 
 def test_structure_checks_see_a_perturbed_frame(ps_run):
@@ -204,7 +210,7 @@ def test_structure_checks_see_a_perturbed_frame(ps_run):
     field.Uhat = ps_run.field.Uhat.copy()
     field.Uhat[6, 5, field.n_trunc] = np.nan
     with pytest.raises(StructureError):
-        pf.analytic_tangents(field, ps_run.conn, 1.0)
+        pf.sym_immersion(field, 1.0, conn=ps_run.conn)
 
 
 # -- the SO(3) rotation of the frame -----------------------------------------
@@ -265,7 +271,7 @@ def test_one_su2_gate_per_lambda(ps_run):
         w = lam ** degs.astype(float)
         Ue = np.einsum("xydab,d->xyab", U, w.astype(complex))
         Ut = np.einsum("xydab,d->xyab", U, (degs * w).astype(complex))
-        X = np.einsum("xyab,xybc->xyac", Ut, loops.mat_inv2(Ue))
+        X = np.einsum("xyab,xybc->xyac", Ut, mat_inv2(Ue))
         with pytest.raises(StructureError) as want:
             pf.su2_to_r3(X, tol=0.0)
         with pytest.raises(StructureError) as got:
