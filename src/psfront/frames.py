@@ -7,9 +7,9 @@ at the origin, as packed real-form loops (see loops). build_frame_field glues
 the two families in that layout, which is also the one of the FrameField it
 returns: at every grid node it factors G = U_minus^{-1} U_plus into a
 nonnegative times a normalized nonpositive loop through a Toeplitz solve, and
-assembles the extended frame U_hat = U_plus L_minus. extract_connection then
-reads the two angle fields off the factors and cross-checks the result
-against finite differences of U_hat itself.
+assembles the extended frame U_hat = U_plus L_minus, keeping two factor
+coefficients; extract_connection reads the two angle fields off those and
+cross-checks the result against finite differences of U_hat itself.
 
 Every node's work is independent, so both the build and that cross-check
 stream blocks of whole x rows, about BLOCK_NODES nodes each, through the same
@@ -217,11 +217,11 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
 # frame field
 
 class FrameField:
-    """Extended frames and their factors on the full grid.
+    """Extended frames and the two factor coefficients on the full grid.
 
-    Uhat, Lp and Lm are packed loops indexed (ix, iy, degree),
-    ascending degrees: Uhat -n_trunc..n_trunc, Lp 0..n_trunc, Lm -n_trunc..0.
-    split_residual and consistency are per-node sup norms.
+    Uhat holds packed loops indexed (ix, iy, degree) over -n_trunc..n_trunc.
+    Lp is L_plus,0[0, 0] and Lm L_minus,-1[0, 1], each indexed (ix, iy).
+    split_residual and consistency are per-node sup norms of the whole factors.
     """
 
     def __init__(self, x, y, n_trunc, spec, Uhat, Lp, Lm, split_residual,
@@ -301,8 +301,8 @@ def build_frame_field(up, um, consistency_tol=None):
     Vinv = pack(inverse_coeffs(unpack(um.coeffs, -N), -N, -N, N + 1), -N)
     Um = um.coeffs[None, :]                       # (1, ny, N+1), -N..0
     Uhat = np.empty((nx, ny, 2 * N + 1), complex)
-    Lp = np.empty((nx, ny, N + 1), complex)
-    Lm = np.empty((nx, ny, N + 1), complex)
+    Lp = np.empty((nx, ny), complex)
+    Lm = np.empty((nx, ny), complex)
     split_res = np.empty((nx, ny))
     consistency = np.empty((nx, ny))
     o = (N + 1) % 2                                            # first odd slot
@@ -325,12 +325,13 @@ def build_frame_field(up, um, consistency_tol=None):
                              lambda i: node_at(rows.start * ny + i))
         lm[:, o::2] = -lm[:, o::2].conj()
         GL = packed_mul(G, lm, -N, -N, -2 * N, 3 * N + 1)
-        Lp[rows] = GL[:, 2 * N:].reshape(-1, ny, N + 1)
         split_res[rows] = np.abs(GL[:, :2 * N]).max(axis=1).reshape(-1, ny)
-        Lm[rows] = lm.reshape(-1, ny, N + 1)
-        Uhat[rows] = packed_mul(Up, Lm[rows], 0, -N, -N, 2 * N + 1)
+        lp = GL[:, 2 * N:].reshape(-1, ny, N + 1)
+        lm = lm.reshape(lp.shape)
+        Lp[rows], Lm[rows] = lp[..., 0], lm[..., N - 1]
+        Uhat[rows] = packed_mul(Up, lm, 0, -N, -N, 2 * N + 1)
         consistency[rows] = np.abs(Uhat[rows] - packed_mul(
-            Um, Lp[rows], -N, 0, -N, 2 * N + 1)).max(axis=-1)
+            Um, lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
     field = FrameField(
         up.nodes, um.nodes, N, up.spec, Uhat, Lp, Lm, split_res, consistency,
         {lam: packed_unitarity(packed_eval(Uhat, -N, lam)[0])
@@ -393,13 +394,11 @@ def extract_connection(field, shape_tol=None):
     x, y = field.x, field.y
     alpha = np.asarray(field.spec.alpha(x), float)
     beta = np.asarray(field.spec.beta(y), float)
-    Lp0 = field.Lp[..., 0]
-    ratio = Lp0.conj() / Lp0
+    ratio = field.Lp.conj() / field.Lp
     dphi = np.unwrap(np.angle(ratio), axis=0)
     dphi -= dphi[field.i0x:field.i0x + 1, :]
     phihat = beta[None, :] + dphi
-    ell_m1 = field.Lm[..., field.n_trunc - 1]
-    r = -2.0 * np.real(np.exp(1j * alpha)[:, None] * ell_m1)
+    r = -2.0 * np.real(np.exp(1j * alpha)[:, None] * field.Lm)
     report = _shape_check(field, alpha, beta, phihat, r, shape_tol)
     return ConnectionField(x, y, alpha, beta, phihat, r, report)
 

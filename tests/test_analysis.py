@@ -1,11 +1,14 @@
 """Geometric verification: forms, curvature, angles, torsion, front recovery."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import psfront as pf
+from conftest import build_run
+from psfront import analysis
 
 
 def surface_from_arrays(x, y, f, N, **kw):
@@ -153,6 +156,19 @@ def test_harmonicity_factor_tracks_cos_omega(closed_surface_129, closed_129):
     harm, hh = pf.harmonicity_residual(closed_surface_129, closed_129.omega)
     assert np.nanmax(harm) < 3e-3
     assert np.nanmax(np.abs(hh - np.cos(closed_129.omega))) < 3e-3
+
+
+def test_mixed_residual_rows_keep_an_interior_nan():
+    # d_xy is NaN on the boundary ring by definition; inside it NaN is a fault
+    run = build_run(pf.preset_pseudosphere(), 33)
+    S = run.surfaces[1.0]
+    rep = pf.fundamental_forms(S)
+    rows = {name: check for name, _, check in analysis.CHECKS}
+    names = ("sine-Gordon residual", "harmonicity residual")
+    omega = run.omega.copy()
+    assert all(math.isfinite(rows[n](S, rep, omega, None)) for n in names)
+    omega[10, 12] = np.nan
+    assert all(math.isnan(rows[n](S, rep, omega, None)) for n in names)
 
 
 # -- torsion -----------------------------------------------------------------

@@ -140,15 +140,21 @@ def test_sweep_columns_are_verify_residuals(verify_and_sweep):
     assert len(lines) == 4
 
 
-def test_traced_verify_computes_each_field_once_per_lambda(tmp_path,
+def test_traced_verify_computes_each_field_once_per_lambda(tmp_path, ps_run,
                                                            monkeypatch):
+    # the benchmark's verify-ps129 run, traced: it must pass (coarser grids
+    # fail the zero-curvature bound) and size the field ps_run holds
     traced = load_psbench(monkeypatch, "traced")
     result = traced.traced_cli(["verify", "--preset", "pseudosphere",
-                                "--grid", "17", "--lambda", "0.5,1,2",
+                                "--grid", "129", "--lambda", "0.5,1,2",
                                 "--out", str(tmp_path)])
+    assert result["rc"] == 0
     names = collections.Counter(s["name"] for s in result["spans"])
     assert (names["analysis.forms"], names["analysis.residuals"],
             names["frames.zcc"]) == (3, 9, 1)
+    field = ps_run.field
+    assert result["metrics"]["frames.field_mb"] == (
+        field.Uhat.nbytes + field.Lp.nbytes + field.Lm.nbytes) / 2 ** 20
 
 
 def test_checks_match_the_benchmark_pins(verify_and_sweep, monkeypatch):

@@ -299,6 +299,23 @@ def test_singular_split_names_the_grid_node():
         pf.build_frame_field(up, um)
 
 
+def test_kept_factor_slices_are_the_split_coefficients():
+    spec = pf.preset_c0_kink(0.5)
+    x = np.linspace(-2, 2, 17)
+    N = 16
+    up = pf.integrate_half_frame(spec, "x", x, n_trunc=N)
+    um = pf.integrate_half_frame(spec, "y", x, n_trunc=N)
+    field = pf.build_frame_field(up, um)
+    assert field.Lp.shape == field.Lm.shape == (17, 17)
+    # origin, corner, both axes (the kink lines) and interior nodes
+    for ix, iy in [(8, 8), (0, 16), (8, 3), (2, 8), (3, 13), (14, 5)]:
+        G = pf.loop_mul(pf.loop_inverse(um.loop_at(iy), window=(-N, 0)),
+                        up.loop_at(ix), window=(-N, N))
+        Lp, Lm = pf.birkhoff_split(G, n_trunc=N)
+        assert abs(Lp.coeff(0)[0, 0] - field.Lp[ix, iy]) <= 1e-13
+        assert abs(Lm.coeff(-1)[0, 1] - field.Lm[ix, iy]) <= 1e-13
+
+
 def field_arrays(field, conn):
     return (field.Uhat, field.Lp, field.Lm, field.split_residual,
             field.consistency, conn.phihat, conn.r)
@@ -333,6 +350,8 @@ def test_build_and_extraction_memory_is_bounded(n):
         field = pf.build_frame_field(up, um)
         held, peak = tracemalloc.get_traced_memory()
         assert peak - held <= 16 * 2 ** 20
+        # the field holds U_hat plus two complex and two float (nx, ny) fields
+        assert held <= field.Uhat.nbytes + 48 * n * n + 64 * 2 ** 10
         tracemalloc.reset_peak()
         conn = pf.extract_connection(field)
         held, peak = tracemalloc.get_traced_memory()
