@@ -63,10 +63,15 @@ def _numbers(key, value):
 class RunConfig:
     """Validated run parameters, merged from a JSON file and CLI flags."""
 
-    def __init__(self, preset="pseudosphere", amplitude=None, potential=None,
+    def __init__(self, preset=None, amplitude=None, potential=None,
                  interval=(-2.0, 2.0), grid=129, trunc=16, lambdas=(1.0,),
                  tolerances=None, out=".", step=None):
-        if preset == "c0_kink" and potential is None and amplitude is None:
+        for key, value in (("preset", preset), ("amplitude", amplitude),
+                           ("step", step)):
+            if potential is not None and value is not None:
+                raise ConfigError(f"{key} is not read next to a potential")
+        preset = "pseudosphere" if preset is None else preset
+        if preset == "c0_kink" and amplitude is None:
             raise ConfigError("preset c0_kink requires --amplitude")
         for key, value in (("preset", preset), ("out", out)):
             if not isinstance(value, str):
@@ -125,14 +130,17 @@ class RunConfig:
         return self.preset
 
     def potential_spec(self):
+        """The potential object, or the preset's on both sides."""
         from . import potentials
         if self.potential is not None:
             return potentials.from_json(self.potential)
-        kwargs = {}
+        side = {"preset": self.preset}
+        if self.amplitude is not None:
+            side["amplitude"] = self.amplitude
+        obj = {"alpha": side, "beta": side}
         if self.step is not None:
-            kwargs["step"] = self.step
-        return potentials.preset_by_name(self.preset, amplitude=self.amplitude,
-                                         **kwargs)
+            obj["step"] = self.step
+        return potentials.from_json(obj)
 
     @classmethod
     def from_args(cls, args):
@@ -145,7 +153,11 @@ class RunConfig:
             if not isinstance(data, dict):
                 raise ConfigError(f"config file {args.config} must hold a "
                                   f"JSON object, got {type(data).__name__}")
-        kwargs = {k: data[k] for k in CONFIG_KEYS if k in data}
+        unknown = ", ".join(map(repr, sorted(set(data) - set(CONFIG_KEYS))))
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown}; accepted: "
+                              f"{', '.join(CONFIG_KEYS)}")
+        kwargs = dict(data)
         if getattr(args, "preset", None):
             kwargs["preset"] = args.preset
             kwargs["potential"] = None

@@ -381,7 +381,7 @@ class ConnectionField:
         self.shape_report = shape_report
 
 
-def extract_connection(field, shape_tol=None):
+def extract_connection(field):
     """Read the connection off the factors and cross-check it by differences.
 
     The angle field comes from the degree-0 coefficient of L_plus anchored to
@@ -389,7 +389,7 @@ def extract_connection(field, shape_tol=None):
     U_hat^{-1} U_hat_x and U_hat^{-1} U_hat_y are then formed by finite
     differences and must reproduce the prescribed Laurent pattern
     (degrees {0, 1} and {-1}) with off-pattern coefficients and field
-    disagreements below shape_tol. Raises ConnectionShapeError otherwise.
+    disagreements below max(h/2, 8h^2). Raises ConnectionShapeError otherwise.
     """
     x, y = field.x, field.y
     alpha = np.asarray(field.spec.alpha(x), float)
@@ -399,23 +399,22 @@ def extract_connection(field, shape_tol=None):
     dphi -= dphi[field.i0x:field.i0x + 1, :]
     phihat = beta[None, :] + dphi
     r = -2.0 * np.real(np.exp(1j * alpha)[:, None] * field.Lm)
-    report = _shape_check(field, alpha, beta, phihat, r, shape_tol)
+    report = _shape_check(field, alpha, beta, phihat, r)
     return ConnectionField(x, y, alpha, beta, phihat, r, report)
 
 
-def _shape_check(field, alpha, beta, phihat, r, tol):
+def _shape_check(field, alpha, beta, phihat, r):
     """Compare FD frame derivatives against the expected connection pattern.
 
     W1 = U_hat^{-1} d_x U_hat and W2 = U_hat^{-1} d_y U_hat are formed one
     row block at a time; only their pattern degrees are kept for the grid.
     """
     hx, hy = spacing(field)
-    if tol is None:
-        h = max(hx, hy)
-        # O(h) floor: for merely continuous potentials the frame's second
-        # derivative jumps across the axes and centered differences degrade
-        # there from O(h^2) to O(h)
-        tol = max(0.5 * h, 8.0 * h * h)
+    h = max(hx, hy)
+    # O(h) floor: for merely continuous potentials the frame's second
+    # derivative jumps across the axes and centered differences degrade
+    # there from O(h^2) to O(h)
+    tol = max(0.5 * h, 8.0 * h * h)
     N = field.n_trunc
     U = field.Uhat
     nx, ny = U.shape[:2]

@@ -37,6 +37,23 @@ def _uniform_lattice(interval, step):
     return lo + step * np.arange(n + 1)
 
 
+def _interpolate(px, pv, t, interpolation):
+    """Values at t of the values pv at increasing coordinates px."""
+    if interpolation == "piecewise-constant":
+        idx = np.clip(np.searchsorted(px, t, side="right") - 1, 0, len(px) - 1)
+        return pv[idx]
+    return np.interp(t, px, pv)
+
+
+def _resample(pairs, xs, interpolation):
+    """Values on xs of (coordinate, value) pairs in any order."""
+    pairs = np.asarray(pairs, float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("samples must be a list of [coordinate, value] pairs")
+    order = np.argsort(pairs[:, 0])
+    return _interpolate(pairs[order, 0], pairs[order, 1], xs, interpolation)
+
+
 class PotentialSpec:
     """Sampled boundary-angle pair with optional analytic closures.
 
@@ -80,21 +97,9 @@ class PotentialSpec:
     def from_samples(cls, alpha_pairs, beta_pairs, interval=DEFAULT_INTERVAL,
                      step=DEFAULT_STEP, interpolation="piecewise-linear"):
         """Build from explicit (coordinate, value) pairs, resampled to the lattice."""
-        xs = _uniform_lattice(interval, step)
-
-        def resample(pairs):
-            pairs = np.asarray(pairs, float)
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise ValueError("samples must be a list of [coordinate, value] pairs")
-            order = np.argsort(pairs[:, 0])
-            px, pv = pairs[order, 0], pairs[order, 1]
-            if interpolation == "piecewise-constant":
-                idx = np.clip(np.searchsorted(px, xs, side="right") - 1, 0, len(px) - 1)
-                return pv[idx]
-            return np.interp(xs, px, pv)
-
-        return cls(xs, resample(alpha_pairs), resample(beta_pairs),
-                   interpolation=interpolation)
+        return from_json({"alpha": {"samples": alpha_pairs}, "step": step,
+                          "beta": {"samples": beta_pairs}, "interval": interval,
+                          "interpolation": interpolation})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -111,11 +116,7 @@ class PotentialSpec:
         t = self._check_domain(t)
         if fn is not None:
             return fn(t)
-        if self.interpolation == "piecewise-constant":
-            idx = np.clip(np.searchsorted(self.xs, t, side="right") - 1,
-                          0, len(self.xs) - 1)
-            return samples[idx]
-        return np.interp(t, self.xs, samples)
+        return _interpolate(self.xs, samples, t, self.interpolation)
 
     def alpha(self, x):
         return self._eval(self.alpha_samples, self._alpha_fn, x)
@@ -153,102 +154,108 @@ def eta_minus(spec, y):
 # ---------------------------------------------------------------------------
 # presets
 
+# name -> (the keys a side of it reads, amplitude -> (alpha, beta) closures)
+_PRESETS = {
+    "pseudosphere": (("preset",), lambda a: (
+        lambda x: 4.0 * np.arctan(np.exp(x)) - np.pi,
+        lambda y: 4.0 * np.arctan(np.exp(y)))),
+    "vacuum": (("preset",), lambda a: (
+        lambda t: np.zeros_like(np.asarray(t, float)),) * 2),
+    "c0_kink": (("preset", "amplitude"),
+                lambda a: (lambda t: a * np.abs(t),) * 2),
+}
+
+
 def preset_pseudosphere(interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
     """Boundary angles whose surface is the standard pseudo-sphere."""
-    return PotentialSpec.from_functions(
-        lambda x: 4.0 * np.arctan(np.exp(x)) - np.pi,
-        lambda y: 4.0 * np.arctan(np.exp(y)),
-        interval=interval, step=step, name="pseudosphere")
+    return preset_by_name("pseudosphere", None, interval, step)
 
 
 def preset_vacuum(interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
     """Zero angles; the degenerate straight-line front."""
-    return PotentialSpec.from_functions(
-        lambda x: np.zeros_like(np.asarray(x, float)),
-        lambda y: np.zeros_like(np.asarray(y, float)),
-        interval=interval, step=step, name="vacuum")
+    return preset_by_name("vacuum", None, interval, step)
 
 
 def preset_c0_kink(amplitude, interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
     """Angles a|x|, a|y|: continuous but not differentiable at the axes."""
-    a = float(amplitude)
-    return PotentialSpec.from_functions(
-        lambda x: a * np.abs(x), lambda y: a * np.abs(y),
-        interval=interval, step=step, name=f"c0_kink[{a:g}]")
-
-
-_PRESETS = {                    # (amplitude, interval, step) -> spec
-    "pseudosphere": lambda a, interval, step: preset_pseudosphere(interval, step),
-    "vacuum": lambda a, interval, step: preset_vacuum(interval, step),
-    "c0_kink": preset_c0_kink,
-}
+    return preset_by_name("c0_kink", amplitude, interval, step)
 
 
 def preset_by_name(name, amplitude=None, interval=DEFAULT_INTERVAL,
                    step=DEFAULT_STEP):
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(_PRESETS)}")
-    return _PRESETS[name](1.0 if amplitude is None else amplitude, interval,
-                          step)
+    """One preset on both sides; amplitude None keeps the preset's default."""
+    side = {"preset": name}
+    if amplitude is not None:
+        side["amplitude"] = amplitude
+    return from_json({"alpha": side, "beta": side, "interval": interval,
+                      "step": step})
 
 
 # ---------------------------------------------------------------------------
-# JSON schema:
-# {"alpha": {"preset": name, ...} | {"samples": [[x, value], ...]},
-#  "beta": likewise, "step": number, "interval": [lo, hi],
-#  "interpolation": optional}
+# JSON schema, defaults shown; a key outside it raises ValueError:
+# {"alpha": side, "beta": side, "step": 1/256, "interval": [-4, 4],
+#  "interpolation": "piecewise-linear" | "piecewise-constant"}, where a side is
+# {"preset": "pseudosphere" | "vacuum"}, {"preset": "c0_kink", "amplitude": 1}
+# or {"samples": [[coordinate, value], ...]}, pairs in any order
+
+def _reject_unread(obj, keys, where):
+    unread = sorted(set(obj) - set(keys))
+    if unread:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unread))}"
+                         f"; it reads {', '.join(map(repr, keys))}")
+
+
+def _side(obj, key, which, xs, interpolation):
+    """A side's closure (None for samples), lattice values and preset name."""
+    side = obj.get(key)
+    if not isinstance(side, dict) or not {"preset", "samples"} & set(side):
+        raise ValueError(f"potential {key!r} must be an object with "
+                         f"'preset' or 'samples', got {side!r}")
+    if "preset" not in side:
+        _reject_unread(side, ("samples",), f"potential {key!r}")
+        return None, _resample(side["samples"], xs, interpolation), None
+    name = side["preset"]
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; have {sorted(_PRESETS)}")
+    keys, closures = _PRESETS[name]
+    _reject_unread(side, keys, f"potential {key!r} (preset {name!r})")
+    a = float(side.get("amplitude", 1.0))
+    fn = closures(a)[which]
+    return fn, fn(xs), f"{name}[{a!r}]" if "amplitude" in keys else name
+
 
 def from_json(source):
-    """Build a PotentialSpec from a JSON object, string or file path."""
-    if isinstance(source, (str, bytes)):
-        s = source.strip() if isinstance(source, str) else source
-        if isinstance(s, str) and s.startswith("{"):
-            obj = json.loads(s)
-        else:
-            with open(source) as fh:
-                obj = json.load(fh)
-    else:
-        obj = source
+    """Build a PotentialSpec from a JSON object, string or file path; one
+    preset on both sides keeps the preset's name."""
+    obj = source
+    if isinstance(source, str) and source.strip().startswith("{"):
+        obj = json.loads(source)
+    elif isinstance(source, (str, bytes)):
+        with open(source) as fh:
+            obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"potential must be a JSON object, got {obj!r}")
-    step = float(obj.get("step", DEFAULT_STEP))
-    interval = tuple(obj.get("interval", DEFAULT_INTERVAL))
+    _reject_unread(obj, ("alpha", "beta", "step", "interval", "interpolation"),
+                   "potential")
+    xs = _uniform_lattice(tuple(obj.get("interval", DEFAULT_INTERVAL)),
+                          float(obj.get("step", DEFAULT_STEP)))
     interp = obj.get("interpolation", "piecewise-linear")
-    for key in ("alpha", "beta"):
-        if key not in obj:
-            raise ValueError(f"potential config missing {key!r}")
-        side = obj[key]
-        if not isinstance(side, dict) or not {"preset", "samples"} & set(side):
-            raise ValueError(f"potential {key!r} must be an object with "
-                             f"'preset' or 'samples', got {side!r}")
-    a, b = obj["alpha"], obj["beta"]
-    if "preset" in a or "preset" in b:
-        if a.get("preset") != b.get("preset"):
-            # mixed preset/sample sides: realize each side separately
-            def side_fn(side, which):
-                if "preset" in side:
-                    sp = preset_by_name(side["preset"], side.get("amplitude"),
-                                        interval, step)
-                    return sp._alpha_fn if which == "alpha" else sp._beta_fn
-                pairs = np.asarray(side["samples"], float)
-                return lambda t: np.interp(t, pairs[:, 0], pairs[:, 1])
-            return PotentialSpec.from_functions(
-                side_fn(a, "alpha"), side_fn(b, "beta"), interval, step)
-        return preset_by_name(a["preset"], a.get("amplitude"), interval, step)
-    return PotentialSpec.from_samples(a["samples"], b["samples"],
-                                      interval=interval, step=step,
-                                      interpolation=interp)
+    (fa, a, na), (fb, b, nb) = (_side(obj, key, which, xs, interp)
+                                for which, key in enumerate(("alpha", "beta")))
+    return PotentialSpec(xs, a, b, interp, alpha_fn=fa, beta_fn=fb,
+                         name=na if na == nb else None)
 
 
 def to_json(spec):
     """Serializable description; presets stay symbolic, samples are listed."""
     obj = {"step": spec.step, "interval": list(spec.interval),
            "interpolation": spec.interpolation}
-    if spec.name and spec.name.startswith("c0_kink"):
-        amp = float(spec.name.split("[")[1].rstrip("]"))
-        obj["alpha"] = obj["beta"] = {"preset": "c0_kink", "amplitude": amp}
-    elif spec.name in ("pseudosphere", "vacuum"):
-        obj["alpha"] = obj["beta"] = {"preset": spec.name}
+    preset, _, amplitude = (spec.name or "").partition("[")
+    if preset in _PRESETS:
+        side = {"preset": preset}
+        if amplitude:
+            side["amplitude"] = float(amplitude.rstrip("]"))
+        obj["alpha"] = obj["beta"] = side
     else:
         obj["alpha"] = {"samples": np.stack([spec.xs, spec.alpha_samples], 1).tolist()}
         obj["beta"] = {"samples": np.stack([spec.xs, spec.beta_samples], 1).tolist()}

@@ -104,12 +104,11 @@ class SurfaceGrid:
                 f"lam0={self.lam0:g})")
 
 
-def _frame_at(field, lam0, structure_tol):
+def _frame_at(field, lam0):
     """f, the rotation columns (R e1, R e2, N) and U_hat's row (a, b), from
     one packed_eval.
 
-    f passes the su(2) gate at structure_tol, by default the truncation-tail
-    tolerance of the field at lam0.
+    f passes the su(2) gate at the field's truncation-tail tolerance at lam0.
     """
     if not lam0 > 0:
         raise ValueError("evaluation point must be positive")
@@ -122,10 +121,9 @@ def _frame_at(field, lam0, structure_tol):
         if not finite:
             raise ValueError(f"lambda={lam0:g} overflows the frame's degree "
                              f"window: lambda^{k} is out of float range")
-    if structure_tol is None:
-        reach = max(np.abs(field.x).max(), np.abs(field.y).max())
-        structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
-                                       max(lam0, 1.0 / lam0))
+    reach = max(np.abs(field.x).max(), np.abs(field.y).max())
+    structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
+                                   max(lam0, 1.0 / lam0))
     row, row_t = packed_eval(field.Uhat, -field.n_trunc, lam0)
     a, b, at, bt = row[..., 0], row[..., 1], row_t[..., 0], row_t[..., 1]
     aa, bb = (a * a.conj()).real, (b * b.conj()).real
@@ -145,7 +143,7 @@ def _frame_at(field, lam0, structure_tol):
     return f, R, row
 
 
-def sym_immersion(field, lam0, conn=None, structure_tol=None):
+def sym_immersion(field, lam0, conn=None):
     """Surface and unit normal at evaluation point lam0 > 0.
 
     The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k,
@@ -155,7 +153,7 @@ def sym_immersion(field, lam0, conn=None, structure_tol=None):
     and with a connection given, the exact tangent and normal-derivative
     fields.
     """
-    f, R, row = _frame_at(field, lam0, structure_tol)
+    f, R, row = _frame_at(field, lam0)
     S = SurfaceGrid(field.x, field.y, lam0, f, R[2], conn=conn)
     S.unitarity = packed_unitarity(row)
     if conn is not None:

@@ -412,6 +412,75 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, config, needle):
     assert needle in err
 
 
+def kink(amplitude):
+    return {"preset": "c0_kink", "amplitude": amplitude}
+
+
+VACUUM = {"preset": "vacuum"}
+
+
+# each input reads what it says (side, point, value), or exits 2 naming the
+# key no path reads
+@pytest.mark.parametrize("config,flags,expect", [
+    ({"potential": {"alpha": kink(0.5), "beta": kink(0.75)}}, [],
+     ("beta", 1.0, 0.75)),
+    ({"potential": {"alpha": VACUUM, "interpolation": "piecewise-constant",
+                    "beta": {"samples": [[-4, 0], [0, 0], [0.5, 1], [4, 1]]}}},
+     [], ("beta", 0.25, 0.0)),
+    ({"potential": {"alpha": {"preset": "c0_kink", "amplitud": 0.5},
+                    "beta": kink(0.5)}}, [],
+     "potential 'alpha' (preset 'c0_kink'): unknown key 'amplitud'"),
+    ({"potential": {"alpha": {"preset": "vacuum", "samples": [[0, 1]]},
+                    "beta": VACUUM}}, [],
+     "potential 'alpha' (preset 'vacuum'): unknown key 'samples'"),
+    ({}, ["--preset", "pseudosphere", "--amplitude", "0.5"],
+     "(preset 'pseudosphere'): unknown key 'amplitude'"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM}, "step": 0.001953125},
+     [], "step is not read next to a potential"),
+    ({"potential": {"alpha": VACUUM, "beta": {"samples": [[4, 1], [-4, 0]]}}},
+     [], ("beta", 0.0, 0.5)),
+    ({"preset": "vacuum", "grid": 9, "trunk": 4, "lambda": [2.0]}, [],
+     "unknown config key 'lambda', 'trunk'; accepted: preset, amplitude"),
+    ({"preset": "c0_kink", "amplitude": 0.5, "potential": {}}, [],
+     "preset is not read next to a potential"),
+])
+def test_config_reads_every_key_or_exits_2(tmp_path, capsys, config, flags,
+                                           expect):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = ["verify", "--config", str(path), "--grid", "9",
+            "--out", str(tmp_path)] + flags
+    if isinstance(expect, str):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("psfront: error: ") and expect in err
+    else:
+        side, point, value = expect
+        cfg = cli.RunConfig.from_args(cli.build_parser().parse_args(argv))
+        assert getattr(cfg.potential_spec(), side)(point) == value
+
+
+def readme_config():
+    """The JSON block of the README's "Run configuration" section."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Run configuration", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_runs_as_written(tmp_path):
+    config = readme_config()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = ["verify", "--config", str(path), "--grid", "17",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) in (0, 1)
+    spec = cli.RunConfig.from_args(
+        cli.build_parser().parse_args(argv)).potential_spec()
+    sides = config["potential"]
+    assert spec.alpha(1.0) == sides["alpha"]["amplitude"]
+    assert spec.beta(1.0) == sides["beta"]["amplitude"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"preset": "vacuum", "grid": 9,

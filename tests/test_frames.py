@@ -1,5 +1,6 @@
 """Half-frame integration, Birkhoff splitting, frame assembly, connection data."""
 
+import copy
 import math
 import tracemalloc
 
@@ -379,9 +380,15 @@ def test_shape_report_within_tolerance(ps_run, kink_run):
         assert worst < 1.6e-2           # finite-difference floor at h = 1/32
 
 
-def test_shape_tolerance_can_force_failure(ps_run):
-    with pytest.raises(ConnectionShapeError):
-        pf.extract_connection(ps_run.field, shape_tol=1e-12)
+def test_shape_check_rejects_a_perturbed_frame(ps_run):
+    # one node's degree 3 off by 1e-2: centered differences put
+    # 1e-2 / (2 h) = 0.16 outside W1's degrees, against h / 2 at h = 1/32
+    field = copy.copy(ps_run.field)
+    field.Uhat = ps_run.field.Uhat.copy()
+    field.Uhat[64, 64, field.n_trunc + 3] += 1e-2
+    with pytest.raises(ConnectionShapeError, match=r"outside \{0,1\}' = "
+                       r"1.600e-01 exceeds 1.562e-02"):
+        pf.extract_connection(field)
 
 
 def test_vacuum_connection_is_zero(vacuum_run):

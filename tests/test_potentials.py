@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psfront as pf
 from psfront.potentials import DomainError, PotentialSpec
@@ -152,3 +154,50 @@ def test_non_finite_samples_rejected():
     with pytest.raises(ValueError, match="finite"):
         PotentialSpec.from_functions(lambda x: np.where(x > 1, np.inf, x),
                                      np.zeros_like)
+
+
+amplitudes = st.floats(-2.0, 2.0, allow_nan=False)
+preset_sides = st.one_of(
+    st.sampled_from([{"preset": "pseudosphere"}, {"preset": "vacuum"},
+                     {"preset": "c0_kink"}]),
+    amplitudes.map(lambda a: {"preset": "c0_kink", "amplitude": a}))
+# pairs in any order, some outside the interval
+sample_sides = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 3.0)),
+                        min_size=1, max_size=8).map(
+    lambda pairs: {"samples": [list(p) for p in pairs]})
+sides = st.one_of(preset_sides, sample_sides)
+
+
+def preset_of(side):
+    """(preset, amplitude) a side resolves to; None for samples."""
+    if "preset" not in side:
+        return None
+    if side["preset"] != "c0_kink":
+        return side["preset"], None
+    return side["preset"], side.get("amplitude", 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sides, sides,
+       st.sampled_from([((-4, 4), 1 / 256), ((-1, 3), 0.25),
+                        ((-2, 0.5), 0.5)]),
+       st.sampled_from([None, *pf.potentials.INTERPOLATIONS]))
+def test_json_round_trip_keeps_every_side(alpha, beta, lattice, interpolation):
+    obj = {"alpha": alpha, "beta": beta, "interval": list(lattice[0]),
+           "step": lattice[1]}
+    if interpolation:
+        obj["interpolation"] = interpolation
+    spec = pf.from_json(obj)
+    back = pf.from_json(json.loads(json.dumps(pf.to_json(spec))))
+    assert np.array_equal(back.alpha_samples, spec.alpha_samples)
+    assert np.array_equal(back.beta_samples, spec.beta_samples)
+    assert (back.xs.tolist(), back.interpolation, back.name) == \
+        (spec.xs.tolist(), spec.interpolation, spec.name)
+    one_preset = preset_of(alpha) is not None \
+        and preset_of(alpha) == preset_of(beta)
+    assert (spec.name is not None) == one_preset
+    for side, samples in ((alpha, spec.alpha_samples),
+                          (beta, spec.beta_samples)):
+        if preset_of(side) and preset_of(side)[0] == "c0_kink":
+            kink = preset_of(side)[1] * np.abs(spec.xs)
+            assert np.array_equal(samples, kink)

@@ -48,9 +48,14 @@ def test_lambda_must_be_positive(ps_run):
         pf.sym_immersion(ps_run.field, -1.0)
 
 
-def test_structure_tolerance_can_force_failure(ps_run):
+def set_structure_tol(monkeypatch, tol):
+    monkeypatch.setattr(sym, "tail_tolerance", lambda *args: tol)
+
+
+def test_structure_tolerance_can_force_failure(ps_run, monkeypatch):
+    set_structure_tol(monkeypatch, 1e-30)
     with pytest.raises(StructureError):
-        pf.sym_immersion(ps_run.field, 1.0, structure_tol=1e-30)
+        pf.sym_immersion(ps_run.field, 1.0)
 
 
 def test_origin_anchors(ps_run):
@@ -114,7 +119,7 @@ def test_surface_grid_rejects_nan_normal(ps_run):
         sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
 
 
-def test_nan_frame_node_fails_sym_immersion(ps_run):
+def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
     field = copy.copy(ps_run.field)
     field.Uhat = ps_run.field.Uhat.copy()
     field.Uhat[6, 5, field.n_trunc] = np.nan
@@ -122,8 +127,9 @@ def test_nan_frame_node_fails_sym_immersion(ps_run):
         with pytest.raises(StructureError, match=r"not su\(2\): defect nan"):
             pf.sym_immersion(field, 1.0, conn=conn)
     # no tolerance lets a NaN through the gate
+    set_structure_tol(monkeypatch, np.inf)
     with pytest.raises(StructureError, match=r"defect nan > inf"):
-        pf.sym_immersion(field, 1.0, structure_tol=np.inf)
+        pf.sym_immersion(field, 1.0)
 
 
 def test_surface_grid_carries_metadata(ps_run):
@@ -232,7 +238,9 @@ unit_range = st.floats(-2.0, 2.0)
 @example(c=(0.0, 1.0, 0.0, 5e-324), v=(0.0, 1.0, 0.0))
 def test_rotation_of_a_non_unit_frame(c, v):
     a, b = complex(c[0], c[1]), complex(c[2], c[3])
-    _, cols, row = sym._frame_at(packed_frame(a, b), 1.0, np.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        set_structure_tol(mp, np.inf)
+        _, cols, row = sym._frame_at(packed_frame(a, b), 1.0)
     R = np.stack([col[0, 0] for col in cols], axis=-1)
     np.testing.assert_allclose(row[0, 0], [a, b])
     assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
@@ -258,7 +266,7 @@ def test_connection_vectors_in_closed_form(run_name, request):
         atol=1e-15)
 
 
-def test_one_su2_gate_per_lambda(ps_run):
+def test_one_su2_gate_per_lambda(ps_run, monkeypatch):
     # the gate reads 2 max |Re s| off the packed rows; su2_to_r3 reports the
     # same defect for f = U_t U^-1 assembled as a 2x2 matrix
     field = copy.copy(ps_run.field)
@@ -274,12 +282,14 @@ def test_one_su2_gate_per_lambda(ps_run):
         X = np.einsum("xyab,xybc->xyac", Ut, mat_inv2(Ue))
         with pytest.raises(StructureError) as want:
             pf.su2_to_r3(X, tol=0.0)
+        set_structure_tol(monkeypatch, 0.0)
         with pytest.raises(StructureError) as got:
-            pf.sym_immersion(field, lam, conn=ps_run.conn, structure_tol=0.0)
+            pf.sym_immersion(field, lam, conn=ps_run.conn)
         assert str(got.value) == str(want.value)
         defect = float(str(want.value).split()[3])
         assert defect > 1e-4
-        pf.sym_immersion(field, lam, structure_tol=1.01 * defect)
+        set_structure_tol(monkeypatch, 1.01 * defect)
+        pf.sym_immersion(field, lam)
 
 
 def test_surface_carries_frame_unitarity(ps_run, kink_run):
