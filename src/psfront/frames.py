@@ -6,10 +6,14 @@ nonnegative (x axis) or nonpositive (y axis) loops normalized to the identity
 at the origin, as packed real-form loops (see loops). build_frame_field glues
 the two families in that layout, which is also the one of the FrameField it
 returns: at every grid node it factors G = U_minus^{-1} U_plus into a
-nonnegative times a normalized nonpositive loop through a Toeplitz solve, and
-assembles the extended frame U_hat = U_plus L_minus, keeping two factor
-coefficients; extract_connection reads the two angle fields off those and
-cross-checks the result against finite differences of U_hat itself.
+nonnegative times a normalized nonpositive loop through a Toeplitz solve. The
+field keeps the extended frame U_hat = U_plus L_minus as its two factors,
+U_plus per x row and L_minus per node, and never U_hat itself: frame_rows
+evaluates U_hat(lambda) from one evaluation per factor, and the two readers
+of U_hat's coefficients, the build's consistency gate and the shape check,
+assemble them for a block of x rows at a time. extract_connection reads the
+two angle fields off two factor coefficients and cross-checks the result
+against finite differences of U_hat.
 
 Every node's work is independent, so both the build and that cross-check
 stream blocks of whole x rows, about BLOCK_NODES nodes each, through the same
@@ -27,9 +31,10 @@ import numpy as np
 
 from . import loops
 from .analysis import cumtrapz_origin, d_x, d_y, spacing
-# eval_coeffs stays a frames attribute: psbench/traced.py wraps it by name
+# eval_coeffs, inverse_coeffs and mul_coeffs stay frames attributes:
+# psbench/traced.py wraps them by name, and only birkhoff_split calls one
 from .loops import (DEFAULT_TRUNC, MAX_DEGREE, TruncationOverflowError,
-                    TwistedLoop, eval_coeffs, inverse_coeffs, mul_coeffs, pack,
+                    TwistedLoop, eval_coeffs, inverse_coeffs, mul_coeffs,
                     packed_adjugate, packed_eval, packed_mul, packed_unitarity,
                     sup_abs, unpack)
 from .potentials import eta_minus, eta_plus
@@ -217,31 +222,85 @@ def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
 # frame field
 
 class FrameField:
-    """Extended frames and the two factor coefficients on the full grid.
+    """The extended frames U_hat = U_plus L_minus on the full grid, as factors.
 
-    Uhat holds packed loops indexed (ix, iy, degree) over -n_trunc..n_trunc.
-    Lp is L_plus,0[0, 0] and Lm L_minus,-1[0, 1], each indexed (ix, iy).
-    split_residual and consistency are per-node sup norms of the whole factors.
+    Uplus holds U_plus per x row, packed loops (nx, n_trunc+1) over degrees
+    0..n_trunc; Lminus holds L_minus per node, (nx, ny, n_trunc+1) over
+    -n_trunc..0. Lp is L_plus,0[0, 0], indexed (ix, iy), and Lm the view of
+    Lminus on L_minus,-1[0, 1]. split_residual and consistency are per-node
+    sup norms of the whole factors; unitarity maps lambda in {1/2, 1, 2} to
+    the packed_unitarity of U_hat(lambda).
     """
 
-    def __init__(self, x, y, n_trunc, spec, Uhat, Lp, Lm, split_residual,
-                 consistency, unitarity):
+    def __init__(self, x, y, n_trunc, spec, Uplus, Lminus, Lp, split_residual,
+                 consistency):
         self.x = x
         self.y = y
         self.n_trunc = n_trunc
         self.spec = spec
-        self.Uhat = Uhat
+        self.Uplus = Uplus
+        self.Lminus = Lminus
         self.Lp = Lp
-        self.Lm = Lm
         self.split_residual = split_residual
         self.consistency = consistency
-        self.unitarity = unitarity
+        self.unitarity = {lam: packed_unitarity(frame_rows(self, lam)[0])
+                          for lam in (0.5, 1.0, 2.0)}
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
+
+    @property
+    def Lm(self):
+        return self.Lminus[..., self.n_trunc - 1]
+
+    @property
+    def Uhat(self):
+        """U_hat's packed coefficients (nx, ny, 2 n_trunc+1) over
+        -n_trunc..n_trunc, assembled on each access; the pipeline reads the
+        factors instead."""
+        return _uhat(self.Uplus, self.Lminus, self.n_trunc)
 
     def __repr__(self):
         return (f"FrameField({len(self.x)}x{len(self.y)}, trunc={self.n_trunc}, "
                 f"split={self.split_residual.max():.2e})")
+
+
+def _row_product(p, q):
+    """First row of the product of [[a, b], [-conj(b), conj(a)]] matrices
+    with first rows p and q, each (..., 2)."""
+    a, b, c, d = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    return np.stack([a * c - b * d.conj(), a * d + b * c.conj()], -1)
+
+
+def frame_rows(field, lam):
+    """First rows (a, b) of U_hat(lam) and (a_t, b_t) of its t-derivative
+    along lambda = e^t at a real lam, (nx, ny, 2) each.
+
+    One packed_eval per factor: at a real lam each factor is a real-form
+    matrix, so U_hat's first row is the closed-form product of theirs, and
+    its t-derivative follows by the product rule.
+    """
+    p, p_t = (r[:, None] for r in packed_eval(field.Uplus, 0, lam))
+    q, q_t = packed_eval(field.Lminus, -field.n_trunc, lam)
+    return _row_product(p, q), _row_product(p_t, q) + _row_product(p, q_t)
+
+
+def _uhat(up, lm, N):
+    """U_hat = U_plus L_minus on degrees -N..N for a block of x rows.
+
+    up (rows, N+1) holds U_plus on 0..N, lm (rows, ny, N+1) L_minus on -N..0.
+    U_plus is fixed along a row, so packed_mul's two convolutions are one
+    matmul per row of [lm | s conj(lm)] against a 2(N+1) x (2N+1) Toeplitz
+    matrix of U_plus, its even degrees in the first half and its odd ones in
+    the second. Every row's product has the same shape, so its bits do not
+    depend on the block.
+    """
+    i = np.arange(2 * N + 1) - np.arange(N + 1)[:, None]     # U_plus degree
+    T = np.where((i >= 0) & (i <= N), up[:, np.clip(i, 0, N)], 0)
+    odd = i % 2 == 1
+    toeplitz = np.concatenate([np.where(odd, 0, T), np.where(odd, T, 0)], -2)
+    slm = lm.conj()
+    slm[..., (N + 1) % 2::2] *= -1                # s = -1 on odd degrees
+    return np.concatenate([lm, slm], -1) @ toeplitz
 
 
 def truncation_tail(n_trunc, reach, lam_amp=1.0):
@@ -297,12 +356,11 @@ def build_frame_field(up, um, consistency_tol=None):
                 f"coefficient at node {bad[0]} ({fam.axis} = "
                 f"{fam.nodes[bad[0]]:g})")
     nx, ny = len(up.nodes), len(um.nodes)
-    # the y family's inverse on the 2x2 kernel: ny x (N+1) coefficients only
-    Vinv = pack(inverse_coeffs(unpack(um.coeffs, -N), -N, -N, N + 1), -N)
+    # the y family's inverse is its adjugate: det V = 1 on degrees -N..0
+    Vinv = packed_adjugate(um.coeffs, -N)
     Um = um.coeffs[None, :]                       # (1, ny, N+1), -N..0
-    Uhat = np.empty((nx, ny, 2 * N + 1), complex)
+    Lminus = np.empty((nx, ny, N + 1), complex)
     Lp = np.empty((nx, ny), complex)
-    Lm = np.empty((nx, ny), complex)
     split_res = np.empty((nx, ny))
     consistency = np.empty((nx, ny))
     o = (N + 1) % 2                                            # first odd slot
@@ -328,14 +386,11 @@ def build_frame_field(up, um, consistency_tol=None):
         split_res[rows] = np.abs(GL[:, :2 * N]).max(axis=1).reshape(-1, ny)
         lp = GL[:, 2 * N:].reshape(-1, ny, N + 1)
         lm = lm.reshape(lp.shape)
-        Lp[rows], Lm[rows] = lp[..., 0], lm[..., N - 1]
-        Uhat[rows] = packed_mul(Up, lm, 0, -N, -N, 2 * N + 1)
-        consistency[rows] = np.abs(Uhat[rows] - packed_mul(
+        Lminus[rows], Lp[rows] = lm, lp[..., 0]
+        consistency[rows] = np.abs(_uhat(up.coeffs[rows], lm, N) - packed_mul(
             Um, lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
-    field = FrameField(
-        up.nodes, um.nodes, N, up.spec, Uhat, Lp, Lm, split_res, consistency,
-        {lam: packed_unitarity(packed_eval(Uhat, -N, lam)[0])
-         for lam in (0.5, 1.0, 2.0)})
+    field = FrameField(up.nodes, um.nodes, N, up.spec, up.coeffs, Lminus, Lp,
+                       split_res, consistency)
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
 
@@ -349,7 +404,9 @@ def _validate_field(field, consistency_tol, unitarity_tol):
         if not resid <= unitarity_tol:
             raise SplitError(f"unitarity residual {resid:.3e} at lambda={lam} "
                              f"exceeds {unitarity_tol:g}")
-    origin = field.Uhat[field.i0x, field.i0y].copy()
+    row = slice(field.i0x, field.i0x + 1)
+    origin = _uhat(field.Uplus[row], field.Lminus[row], field.n_trunc)[
+        0, field.i0y]
     origin[field.n_trunc] -= 1.0
     if not sup_abs(origin) <= 1e-12:
         raise SplitError("frame at the origin is not the identity")
@@ -407,7 +464,8 @@ def _shape_check(field, alpha, beta, phihat, r):
     """Compare FD frame derivatives against the expected connection pattern.
 
     W1 = U_hat^{-1} d_x U_hat and W2 = U_hat^{-1} d_y U_hat are formed one
-    row block at a time; only their pattern degrees are kept for the grid.
+    row block at a time, from U_hat assembled for the block and its halo;
+    only their pattern degrees are kept for the grid.
     """
     hx, hy = spacing(field)
     h = max(hx, hy)
@@ -416,21 +474,26 @@ def _shape_check(field, alpha, beta, phihat, r):
     # there from O(h^2) to O(h)
     tol = max(0.5 * h, 8.0 * h * h)
     N = field.n_trunc
-    U = field.Uhat
-    nx, ny = U.shape[:2]
+    nx, ny = field.Lminus.shape[:2]
     off1, off2 = [], []
     w1_0 = np.empty((nx, ny), complex)       # degree 0 of W1
     w2_m1 = np.empty((nx, ny), complex)      # degree -1 of W2
+    U, U_lo = np.empty((0, ny, 2 * N + 1), complex), 0   # U_hat from row U_lo
     for rows in _row_blocks(nx, ny):
         # a one-row halo for d_x, three rows at a grid edge for its
         # one-sided stencil
         lo = max(0, min(rows.start - 1, nx - 3))
         hi = min(nx, max(rows.stop + 1, 3))
         inner = slice(rows.start - lo, rows.stop - lo)
-        Ub = U[rows]
+        # the rows the block before assembled are kept, not assembled again
+        top = U_lo + len(U)
+        U = np.concatenate([U[lo - U_lo:], _uhat(
+            field.Uplus[top:hi], field.Lminus[top:hi], N)])
+        U_lo = lo
+        Ub = U[inner]
         Uinv = packed_adjugate(Ub, -N)   # det U_hat = 1 up to truncation tail
         # packed on degrees -3..3: entry (0, 0) on even degrees, (0, 1) on odd
-        W1 = packed_mul(Uinv, d_x(U[lo:hi], hx)[inner], -N, -N, -3, 7)
+        W1 = packed_mul(Uinv, d_x(U, hx)[inner], -N, -N, -3, 7)
         W2 = packed_mul(Uinv, d_y(Ub, hy), -N, -N, -3, 7)
         off1.append(sup_abs(W1[:, :, [0, 1, 2, 5, 6]]))
         off2.append(sup_abs(W2[:, :, [0, 1, 4, 5, 6]]))

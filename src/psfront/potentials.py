@@ -45,11 +45,15 @@ def _interpolate(px, pv, t, interpolation):
     return np.interp(t, px, pv)
 
 
-def _resample(pairs, xs, interpolation):
+def _resample(pairs, xs, interpolation, where):
     """Values on xs of (coordinate, value) pairs in any order."""
-    pairs = np.asarray(pairs, float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("samples must be a list of [coordinate, value] pairs")
+    try:
+        pairs = np.asarray(pairs, float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"{where} must be a list of [coordinate, value] "
+                         "pairs")
     order = np.argsort(pairs[:, 0])
     return _interpolate(pairs[order, 0], pairs[order, 1], xs, interpolation)
 
@@ -192,11 +196,19 @@ def preset_by_name(name, amplitude=None, interval=DEFAULT_INTERVAL,
 
 
 # ---------------------------------------------------------------------------
-# JSON schema, defaults shown; a key outside it raises ValueError:
+# JSON schema, defaults shown; a key outside it, or a value of the wrong type,
+# raises ValueError naming it:
 # {"alpha": side, "beta": side, "step": 1/256, "interval": [-4, 4],
 #  "interpolation": "piecewise-linear" | "piecewise-constant"}, where a side is
 # {"preset": "pseudosphere" | "vacuum"}, {"preset": "c0_kink", "amplitude": 1}
 # or {"samples": [[coordinate, value], ...]}, pairs in any order
+
+def _number(where, value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+
 
 def _reject_unread(obj, keys, where):
     unread = sorted(set(obj) - set(keys))
@@ -213,13 +225,17 @@ def _side(obj, key, which, xs, interpolation):
                          f"'preset' or 'samples', got {side!r}")
     if "preset" not in side:
         _reject_unread(side, ("samples",), f"potential {key!r}")
-        return None, _resample(side["samples"], xs, interpolation), None
+        return None, _resample(side["samples"], xs, interpolation,
+                               f"potential {key!r} samples"), None
     name = side["preset"]
+    if not isinstance(name, str):
+        raise ValueError(f"potential {key!r} preset must be a string, "
+                         f"got {name!r}")
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {sorted(_PRESETS)}")
     keys, closures = _PRESETS[name]
     _reject_unread(side, keys, f"potential {key!r} (preset {name!r})")
-    a = float(side.get("amplitude", 1.0))
+    a = _number(f"potential {key!r} amplitude", side.get("amplitude", 1.0))
     fn = closures(a)[which]
     return fn, fn(xs), f"{name}[{a!r}]" if "amplitude" in keys else name
 
@@ -237,8 +253,14 @@ def from_json(source):
         raise ValueError(f"potential must be a JSON object, got {obj!r}")
     _reject_unread(obj, ("alpha", "beta", "step", "interval", "interpolation"),
                    "potential")
-    xs = _uniform_lattice(tuple(obj.get("interval", DEFAULT_INTERVAL)),
-                          float(obj.get("step", DEFAULT_STEP)))
+    interval = obj.get("interval", DEFAULT_INTERVAL)
+    if not isinstance(interval, (list, tuple, np.ndarray)) \
+            or len(interval) != 2:
+        raise ValueError(f"potential interval must be a list of two numbers, "
+                         f"got {interval!r}")
+    xs = _uniform_lattice(
+        tuple(_number("potential interval entry", v) for v in interval),
+        _number("potential step", obj.get("step", DEFAULT_STEP)))
     interp = obj.get("interpolation", "piecewise-linear")
     (fa, a, na), (fb, b, nb) = (_side(obj, key, which, xs, interp)
                                 for which, key in enumerate(("alpha", "beta")))

@@ -37,9 +37,9 @@ import math
 
 import numpy as np
 
-from .frames import tail_tolerance
+from .frames import frame_rows, tail_tolerance
 # eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
-from .loops import eval_coeffs, packed_eval, packed_unitarity, sup_abs
+from .loops import eval_coeffs, packed_unitarity, sup_abs
 
 E1 = 0.5 * np.array([[0, 1j], [1j, 0]])
 E2 = 0.5 * np.array([[0, -1], [1, 0]])
@@ -106,7 +106,7 @@ class SurfaceGrid:
 
 def _frame_at(field, lam0):
     """f, the rotation columns (R e1, R e2, N) and U_hat's row (a, b), from
-    one packed_eval.
+    one frames.frame_rows evaluation of the factors.
 
     f passes the su(2) gate at the field's truncation-tail tolerance at lam0.
     """
@@ -124,7 +124,7 @@ def _frame_at(field, lam0):
     reach = max(np.abs(field.x).max(), np.abs(field.y).max())
     structure_tol = tail_tolerance(1e-8, field.n_trunc, reach,
                                    max(lam0, 1.0 / lam0))
-    row, row_t = packed_eval(field.Uhat, -field.n_trunc, lam0)
+    row, row_t = frame_rows(field, lam0)
     a, b, at, bt = row[..., 0], row[..., 1], row_t[..., 0], row_t[..., 1]
     aa, bb = (a * a.conj()).real, (b * b.conj()).real
     inv_d = 1.0 / (aa + bb)

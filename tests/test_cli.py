@@ -420,7 +420,7 @@ VACUUM = {"preset": "vacuum"}
 
 
 # each input reads what it says (side, point, value), or exits 2 naming the
-# key no path reads
+# key no path reads or the key whose value has the wrong type
 @pytest.mark.parametrize("config,flags,expect", [
     ({"potential": {"alpha": kink(0.5), "beta": kink(0.75)}}, [],
      ("beta", 1.0, 0.75)),
@@ -443,6 +443,16 @@ VACUUM = {"preset": "vacuum"}
      "unknown config key 'lambda', 'trunk'; accepted: preset, amplitude"),
     ({"preset": "c0_kink", "amplitude": 0.5, "potential": {}}, [],
      "preset is not read next to a potential"),
+    ({"potential": {"alpha": kink([1]), "beta": VACUUM}}, [],
+     "potential 'alpha' amplitude must be a number, got [1]"),
+    ({"potential": {"alpha": VACUUM, "beta": {"preset": ["x"]}}}, [],
+     "potential 'beta' preset must be a string, got ['x']"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM, "interval": 3}}, [],
+     "potential interval must be a list of two numbers, got 3"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM, "step": [1]}}, [],
+     "potential step must be a number, got [1]"),
+    ({"potential": {"alpha": VACUUM, "beta": {"samples": {"0": 1}}}}, [],
+     "potential 'beta' samples must be a list of [coordinate, value] pairs"),
 ])
 def test_config_reads_every_key_or_exits_2(tmp_path, capsys, config, flags,
                                            expect):

@@ -277,16 +277,17 @@ def test_nan_in_built_field_fails_the_gates(monkeypatch):
     field.unitarity[1.0] = np.nan
     with pytest.raises(SplitError, match="unitarity"):
         frames._validate_field(field, 1e-8, 1e-8)
-    pf.extract_connection(field)                   # clean Uhat passes
-    field.Uhat[6, 5, field.n_trunc] = np.nan
+    pf.extract_connection(field)                   # clean factors pass
+    # L_minus's degree 0, 1 at every node, feeds U_hat's degrees 0..N there
+    field.Lminus[6, 5, field.n_trunc] = np.nan
     with pytest.raises(ConnectionShapeError, match="nan"):
         pf.extract_connection(field)
     # blocks of 3 rows: row 15 is the first line of the last block and the
     # halo of the one before; a max() across blocks would drop the NaN there
     monkeypatch.setattr(frames, "BLOCK_NODES", 3 * len(field.y))
-    field.Uhat[6, 5, field.n_trunc] = 1.0
+    field.Lminus[6, 5, field.n_trunc] = 1.0
     pf.extract_connection(field)
-    field.Uhat[15, 5, field.n_trunc] = np.nan
+    field.Lminus[15, 5, field.n_trunc] = np.nan
     with pytest.raises(ConnectionShapeError,
                        match=r"'w1 degrees outside \{0,1\}' = nan"):
         pf.extract_connection(field)
@@ -317,9 +318,29 @@ def test_kept_factor_slices_are_the_split_coefficients():
         assert abs(Lm.coeff(-1)[0, 1] - field.Lm[ix, iy]) <= 1e-13
 
 
+@pytest.mark.parametrize("preset, amplitude, n_trunc",
+                         [("pseudosphere", None, 16), ("c0_kink", 0.6, 8)])
+def test_factor_evaluation_matches_the_assembled_frame(preset, amplitude,
+                                                       n_trunc):
+    # U_plus(lam) L_minus(lam) against U_hat's coefficients, assembled from
+    # the same factors, at each lambda: rows and t-rows
+    spec = pf.preset_by_name(preset, amplitude)
+    x = np.linspace(-2, 2, 129)
+    field = pf.build_frame_field(
+        pf.integrate_half_frame(spec, "x", x, n_trunc=n_trunc),
+        pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
+    Uhat = field.Uhat
+    for lam in (0.5, 1.0, 1.3, 2.0):
+        got = frames.frame_rows(field, lam)
+        want = loops.packed_eval(Uhat, -n_trunc, lam)
+        for g, w in zip(got, want):
+            assert g.shape == (129, 129, 2)
+            assert np.abs(g - w).max() <= 1e-13, lam
+
+
 def field_arrays(field, conn):
-    return (field.Uhat, field.Lp, field.Lm, field.split_residual,
-            field.consistency, conn.phihat, conn.r)
+    return (field.Uplus, field.Lminus, field.Lp, field.Lm,
+            field.split_residual, field.consistency, conn.phihat, conn.r)
 
 
 @pytest.mark.parametrize("block", ["under one line", "5 lines + 3", "all"])
@@ -351,8 +372,12 @@ def test_build_and_extraction_memory_is_bounded(n):
         field = pf.build_frame_field(up, um)
         held, peak = tracemalloc.get_traced_memory()
         assert peak - held <= 16 * 2 ** 20
-        # the field holds U_hat plus two complex and two float (nx, ny) fields
-        assert held <= field.Uhat.nbytes + 48 * n * n + 64 * 2 ** 10
+        # the field holds the two factors plus one complex and two float
+        # (nx, ny) fields, and no (nx, ny, 2N+1) array such as U_hat
+        assert held <= (field.Uplus.nbytes + field.Lminus.nbytes
+                        + 32 * n * n + 64 * 2 ** 10)
+        assert not [name for name, value in vars(field).items()
+                    if np.shape(value) == (n, n, 2 * field.n_trunc + 1)]
         tracemalloc.reset_peak()
         conn = pf.extract_connection(field)
         held, peak = tracemalloc.get_traced_memory()
@@ -381,11 +406,12 @@ def test_shape_report_within_tolerance(ps_run, kink_run):
 
 
 def test_shape_check_rejects_a_perturbed_frame(ps_run):
-    # one node's degree 3 off by 1e-2: centered differences put
+    # L_minus's degree -3 off by 1e-2 at the origin, where U_plus = I, so
+    # U_hat's degree -3 moves by as much: centered differences put
     # 1e-2 / (2 h) = 0.16 outside W1's degrees, against h / 2 at h = 1/32
     field = copy.copy(ps_run.field)
-    field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[64, 64, field.n_trunc + 3] += 1e-2
+    field.Lminus = ps_run.field.Lminus.copy()
+    field.Lminus[64, 64, field.n_trunc - 3] += 1e-2
     with pytest.raises(ConnectionShapeError, match=r"outside \{0,1\}' = "
                        r"1.600e-01 exceeds 1.562e-02"):
         pf.extract_connection(field)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import psfront as pf
 from conftest import connection_blocks
-from psfront import loops, sym
+from psfront import frames, loops, sym
 from psfront.sym import E1, E2, E3, StructureError
 
 
@@ -119,10 +119,25 @@ def test_surface_grid_rejects_nan_normal(ps_run):
         sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
 
 
+def nan_frame_node(run):
+    """The run's field with L_minus's degree 0 NaN at node (6, 5)."""
+    field = copy.copy(run.field)
+    field.Lminus = run.field.Lminus.copy()
+    field.Lminus[6, 5, field.n_trunc] = np.nan
+    return field
+
+
+def perturbed_frame(run):
+    """The run's field with 1e-3 added to L_minus's degree 0 at every node:
+    U_hat gains 1e-3 U_plus and leaves SU(2)."""
+    field = copy.copy(run.field)
+    field.Lminus = run.field.Lminus.copy()
+    field.Lminus[..., field.n_trunc] += 1e-3
+    return field
+
+
 def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
-    field = copy.copy(ps_run.field)
-    field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[6, 5, field.n_trunc] = np.nan
+    field = nan_frame_node(ps_run)
     for conn in (None, ps_run.conn):
         with pytest.raises(StructureError, match=r"not su\(2\): defect nan"):
             pf.sym_immersion(field, 1.0, conn=conn)
@@ -181,13 +196,13 @@ def reference_fields(field, conn, lam):
 
 def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
     calls = []
-    orig = sym.packed_eval
+    orig = sym.frame_rows
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(sym, "packed_eval", counting)
+    monkeypatch.setattr(sym, "frame_rows", counting)
     for lam in (0.5, 2.0):
         pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
     assert calls == [0.5, 2.0]
@@ -208,24 +223,21 @@ def test_fields_match_einsum_reference(run_name, request):
 
 
 def test_structure_checks_see_a_perturbed_frame(ps_run):
-    field = copy.copy(ps_run.field)
-    field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[..., field.n_trunc] += 1e-3
     with pytest.raises(StructureError, match="not su"):
-        pf.sym_immersion(field, 1.0, conn=ps_run.conn)
-    field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[6, 5, field.n_trunc] = np.nan
+        pf.sym_immersion(perturbed_frame(ps_run), 1.0, conn=ps_run.conn)
     with pytest.raises(StructureError):
-        pf.sym_immersion(field, 1.0, conn=ps_run.conn)
+        pf.sym_immersion(nan_frame_node(ps_run), 1.0, conn=ps_run.conn)
 
 
 # -- the SO(3) rotation of the frame -----------------------------------------
 
 def packed_frame(a, b):
     """One-node frame field, trunc 1, with U_hat(1) = [[a, b], [-conj b, conj a]]
-    exactly: b sits on degree 1 alone, so no halving can underflow it."""
-    Uhat = np.array([[[0.0, a, b]]])               # degrees -1, 0, 1
-    return SimpleNamespace(x=np.zeros(1), y=np.zeros(1), n_trunc=1, Uhat=Uhat)
+    exactly: U_plus = a + b lambda and L_minus = I, so b sits on degree 1
+    alone and no halving can underflow it."""
+    return SimpleNamespace(x=np.zeros(1), y=np.zeros(1), n_trunc=1,
+                           Uplus=np.array([[a, b]]),           # degrees 0, 1
+                           Lminus=np.array([[[0.0, 1.0]]]))    # degrees -1, 0
 
 
 unit_range = st.floats(-2.0, 2.0)
@@ -269,9 +281,7 @@ def test_connection_vectors_in_closed_form(run_name, request):
 def test_one_su2_gate_per_lambda(ps_run, monkeypatch):
     # the gate reads 2 max |Re s| off the packed rows; su2_to_r3 reports the
     # same defect for f = U_t U^-1 assembled as a 2x2 matrix
-    field = copy.copy(ps_run.field)
-    field.Uhat = ps_run.field.Uhat.copy()
-    field.Uhat[..., field.n_trunc] += 1e-3
+    field = perturbed_frame(ps_run)
     N = field.n_trunc
     U = loops.unpack(field.Uhat, -N)
     degs = np.arange(-N, N + 1)
@@ -297,7 +307,7 @@ def test_surface_carries_frame_unitarity(ps_run, kink_run):
         N = run.field.n_trunc
         U = loops.unpack(run.field.Uhat, -N)
         for lam, S in run.surfaces.items():
-            row = loops.packed_eval(run.field.Uhat, -N, lam)[0]
+            row = frames.frame_rows(run.field, lam)[0]
             assert S.unitarity == loops.packed_unitarity(row)
             Ue = loops.eval_coeffs(U, -N, lam)
             assert abs(S.unitarity - loops.unitarity_residual(Ue)) <= 1e-15
