@@ -1,49 +1,65 @@
-"""The twisted-loop toolbox: products, inverses, evaluation, factorization.
+"""The packed loop toolbox: products, evaluation, inversion, factorization.
 
-Everything downstream rests on truncated Laurent arithmetic, so this script
-pokes the primitives directly on small hand-made loops.
+Every loop the pipeline makes is a packed SU(2) real-form loop, one complex
+scalar per degree (psfront.loops). This script pokes the packed primitives on
+small hand-made loops and checks each against the 2x2 reference kernels.
 """
 
 import numpy as np
 
 import psfront as pf
+from psfront import loops
 
-I = np.eye(2, dtype=complex)
-Q = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+rng = np.random.default_rng(1)
 
-# a twisted loop: even degrees diagonal, odd degrees anti-diagonal
-g = pf.TwistedLoop(-1, np.stack([0.3 * Q, I, 0.2 * Q]))
-print("g =", g)
 
-sq = pf.loop_mul(g, g, window=(-2, 2))
-print("degree -2 of g^2:\n", np.round(sq.coeff(-2), 6))
+def packed(k_min, k_max, scale):
+    """A random packed loop on k_min..k_max, degree k scaled by scale^|k|."""
+    degs = np.arange(k_min, k_max + 1)
+    return ((rng.normal(size=len(degs)) + 1j * rng.normal(size=len(degs)))
+            * scale ** np.abs(degs))
 
-ginv = pf.loop_inverse(g, window=(-8, 8))
-rt = pf.loop_mul(g, ginv, window=(-4, 4))
-err = max(np.abs(rt.coeff(k) - (I if k == 0 else 0)).max()
-          for k in range(-4, 5))
-print(f"round trip g g^-1 = 1 to {err:.2e}")
 
-val = pf.loop_eval(g, 0.7)
-print(f"g(0.7) =\n{np.round(val, 6)}")
-d = pf.loop_det(g)
-terms = " + ".join(f"({d.coeff(k):.2f}) l^{k}" for k in range(d.k_min, d.k_max + 1)
-                   if d.coeff(k) != 0)
-print(f"det g = {terms}")
-print(f"  check at 0.7: series {d(0.7):.6f}, "
-      f"direct {np.linalg.det(val):.6f}")
+# a packed loop on degrees -1..1: entry (0, 0) on even degrees, (0, 1) on odd
+g = packed(-1, 1, 0.3)
+g[1] = 1.0
+print("g on degrees -1..1, packed:", np.round(g, 4))
+print("degree -1 as a 2x2 coefficient:\n", np.round(loops.unpack(g, -1)[0], 4))
 
-# Birkhoff: a loop with poles on both sides splits into one-sided factors.
-# neg^-1 has an infinite tail decaying like 0.25^k, so the window must be
-# wide enough for the cut-off tail to clear the residual gate.
-neg = pf.TwistedLoop(-1, np.stack([0.25 * Q, I]))
-pos = pf.TwistedLoop(0, np.stack([I + 0.1 * np.diag([1.0, -1.0]), 0.15 * Q]))
-G = pf.loop_mul(pos, pf.loop_inverse(neg, window=(-32, 0)), window=(-16, 16))
-Lp, Lm = pf.birkhoff_split(G, n_trunc=16)
-rec_p = max(np.abs(Lp.coeff(k) - pos.coeff(k)).max() for k in range(0, 3))
-rec_m = max(np.abs(Lm.coeff(k) - neg.coeff(k)).max() for k in range(-2, 1))
-print(f"split recovers the constructed factors to "
-      f"{max(rec_p, rec_m):.2e}")
+sq = loops.packed_mul(g, g, -1, -1, -2, 5)
+ref = loops.mul_coeffs(loops.unpack(g, -1), loops.unpack(g, -1), -1, -1, -2, 5)
+print(f"packed_mul g g against mul_coeffs: "
+      f"{loops.sup_abs(loops.unpack(sq, -2) - ref):.2e}")
 
-u = pf.unitarity_check(g, (1.0,))
-print(f"unitarity defect of g at lambda = 1: {u:.3f} (g is not unitary)")
+row, row_t = loops.packed_eval(g, -1, 0.7)
+ref = loops.eval_coeffs(loops.unpack(g, -1), -1, 0.7)
+print(f"g(0.7) first row {np.round(row, 6)}; against eval_coeffs: "
+      f"{loops.sup_abs(row - ref[0]):.2e}")
+
+# the y-axis half frame has determinant 1, so its adjugate is its inverse
+N = 16
+um = pf.integrate_half_frame(pf.preset_pseudosphere(), "y",
+                             np.linspace(-2, 2, 33), n_trunc=N)
+V = um.coeffs
+VinvV = loops.packed_mul(loops.packed_adjugate(V, -N), V, -N, -N, -N, N + 1)
+VinvV[:, N] -= 1.0
+print(f"half frame: adjugate(V) V = 1 on degrees -{N}..0 to "
+      f"{loops.sup_abs(VinvV):.2e}")
+
+# Birkhoff: G = L_plus L_minus^{-1} splits back into its one-sided factors.
+# L_minus^{-1} has an infinite tail decaying like 0.1^k, taken on -32..0.
+Lp_true, Lm_true = packed(0, 4, 0.1), packed(-4, 0, 0.1)
+Lp_true[0] += 2.0
+Lm_true[-1] = 1.0
+Lm_inv = loops.pack(loops.inverse_coeffs(loops.unpack(Lm_true, -4), -4, -32,
+                                         33), -32)
+G = loops.packed_mul(Lp_true, Lm_inv, 0, -32, -16, 33)
+Lp, Lm, residual = pf.birkhoff_split(G[None])
+rec = max(loops.sup_abs(Lp[0, :5] - Lp_true), loops.sup_abs(Lm[0, -5:] - Lm_true))
+print(f"split recovers the constructed factors to {rec:.2e} "
+      f"(residual {residual[0]:.2e}: G was cut below degree -16)")
+
+print(f"unitarity defect of g at lambda = 1: "
+      f"{loops.packed_unitarity(loops.packed_eval(g, -1, 1.0)[0]):.3f} "
+      f"(g is not unitary); of the half frame: "
+      f"{loops.packed_unitarity(loops.packed_eval(V, -N, 1.0)[0]):.2e}")

@@ -4,17 +4,16 @@ The pipeline runs potentials -> half-frame integration -> pointwise
 factorization -> reconstruction, with an analysis suite that checks the
 resulting surfaces against their defining identities and two independent
 reference routes (a direct sine-Gordon solver and the closed-form
-pseudo-sphere).
+pseudo-sphere). Every loop on the way is a packed SU(2) real-form loop (see
+loops), and birkhoff_split is the one factorization.
 """
 
 from ._threads import apply_thread_env
 
 apply_thread_env()
 
-from .loops import (DEFAULT_TRUNC, MAX_DEGREE, ParityError, ScalarLaurent,
-                    SingularSeriesError, TruncationOverflowError, TwistedLoop,
-                    from_coeff, identity_loop, loop_det, loop_eval,
-                    loop_inverse, loop_mul, scalar_reciprocal, unitarity_check)
+from .loops import (DEFAULT_TRUNC, MAX_DEGREE, SingularSeriesError,
+                    TruncationOverflowError)
 from .potentials import (DomainError, PotentialSpec, eta_minus, eta_plus,
                          from_json, preset_by_name, preset_c0_kink,
                          preset_pseudosphere, preset_vacuum, to_json)

@@ -264,10 +264,11 @@ INTERIOR = np.s_[1:-1, 1:-1]    # where d_xy, and so a mixed residual, is define
 CHECKS = (
     ("K+1 residual", 1e-3,
      lambda S, rep, omega, zcc: sup_abs(rep.K[rep.regular] + 1.0)),
+    # E = lam0^2 and G = lam0^-2, relative: their rounding scales with them
     ("first form E residual", 1e-8,
-     lambda S, rep, omega, zcc: sup_abs(rep.E - S.lam0 ** 2)),
+     lambda S, rep, omega, zcc: sup_abs(rep.E / S.lam0 ** 2 - 1.0)),
     ("first form G residual", 1e-8,
-     lambda S, rep, omega, zcc: sup_abs(rep.G - S.lam0 ** -2)),
+     lambda S, rep, omega, zcc: sup_abs(rep.G * S.lam0 ** 2 - 1.0)),
     ("first form F residual", 1e-6,
      lambda S, rep, omega, zcc: sup_abs(rep.F - np.cos(omega))),
     ("second form ell residual", 1e-5,

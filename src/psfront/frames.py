@@ -6,7 +6,8 @@ nonnegative (x axis) or nonpositive (y axis) loops normalized to the identity
 at the origin, as packed real-form loops (see loops). build_frame_field glues
 the two families in that layout, which is also the one of the FrameField it
 returns: at every grid node it factors G = U_minus^{-1} U_plus into a
-nonnegative times a normalized nonpositive loop through a Toeplitz solve. The
+nonnegative times a normalized nonpositive loop through birkhoff_split, a
+Toeplitz solve over a batch of packed loops, called once per block. The
 field keeps the extended frame U_hat = U_plus L_minus as its two factors,
 U_plus per x row and L_minus per node, and never U_hat itself: frame_rows
 evaluates U_hat(lambda) from one evaluation per factor, and the two readers
@@ -29,14 +30,12 @@ import math
 
 import numpy as np
 
-from . import loops
 from .analysis import cumtrapz_origin, d_x, d_y, spacing
-# eval_coeffs, inverse_coeffs and mul_coeffs stay frames attributes:
-# psbench/traced.py wraps them by name, and only birkhoff_split calls one
+# eval_coeffs, inverse_coeffs and mul_coeffs, the 2x2 reference kernels, stay
+# frames attributes: psbench/traced.py wraps them by name; none is called here
 from .loops import (DEFAULT_TRUNC, MAX_DEGREE, TruncationOverflowError,
-                    TwistedLoop, eval_coeffs, inverse_coeffs, mul_coeffs,
-                    packed_adjugate, packed_eval, packed_mul, packed_unitarity,
-                    sup_abs, unpack)
+                    eval_coeffs, inverse_coeffs, mul_coeffs, packed_adjugate,
+                    packed_eval, packed_mul, packed_unitarity, sup_abs)
 from .potentials import eta_minus, eta_plus
 
 
@@ -92,9 +91,6 @@ class HalfFrameFamily:
         self.n_trunc = n_trunc
         self.spec = spec
         self.per_degree_sup = per_degree_sup
-
-    def loop_at(self, i):
-        return TwistedLoop(self.k_min, unpack(self.coeffs[i], self.k_min))
 
     def __repr__(self):
         return (f"HalfFrameFamily(axis={self.axis!r}, n={len(self.nodes)}, "
@@ -186,36 +182,28 @@ def _split_negative(ge, go, N, where):
     return x
 
 
-def birkhoff_split(G, n_trunc=None, residual_tol=1e-8):
-    """Factor a twisted loop into (nonnegative) times (normalized nonpositive).
+def birkhoff_split(G, where=None):
+    """Split packed real-form loops as G = L_plus L_minus^{-1}.
 
-    A loop with no negative degrees splits trivially as (G, identity). The
-    residual is the largest negative-degree coefficient left in G L_minus;
-    above residual_tol the factorization is rejected.
+    G (n, 2N+1) holds n loops on degrees -N..N; N is read from the shape.
+    Returns L_plus (n, N+1) on degrees 0..N, the normalized L_minus (n, N+1)
+    on -N..0 with degree 0 the identity, and the per-loop residual, the
+    largest coefficient G L_minus keeps on degrees -2N..-1. The residual is
+    returned, not gated. A singular Toeplitz system raises SplitError naming
+    where(i), i the first singular loop (by default "loop i").
     """
-    if G.k_min >= 0:
-        return G, loops.identity_loop()
-    N = n_trunc if n_trunc is not None else max(-G.k_min, G.k_max, 1)
-    if N < -G.k_min or N < G.k_max:
-        raise ValueError(f"n_trunc {N} too small for window {G.window}")
-    Gc = np.zeros((1, 2 * N + 1, 2, 2), complex)
-    Gc[0, G.k_min + N:G.k_max + N + 1] = G.coeffs
-    par = np.arange(-N, N + 1) % 2
-    ge = Gc[:, np.arange(2 * N + 1), par, 0]         # column 0: row(m) = m % 2
-    go = Gc[:, np.arange(2 * N + 1), 1 - par, 1]
-    Lm = np.zeros((1, N + 1, 2, 2), complex)
-    par = par[:N + 1]                                # degrees -N..0
-    Lm[0, np.arange(N + 1), par, 0] = _split_negative(
-        ge, go, N, lambda i: "column 0")[0]
-    Lm[0, np.arange(N + 1), 1 - par, 1] = _split_negative(
-        go, ge, N, lambda i: "column 1")[0]
-    GL = mul_coeffs(Gc, Lm, -N, -N, -2 * N, 3 * N + 1)
-    residual = sup_abs(GL[:, :2 * N])
-    if not residual <= residual_tol:
-        raise SplitError(f"split residual {residual:.3e} exceeds "
-                         f"{residual_tol:g}")
-    Lp = TwistedLoop(0, GL[0, 2 * N:])
-    return Lp, TwistedLoop(-N, Lm[0])
+    if G.ndim != 2 or G.shape[-1] % 2 == 0 or G.shape[-1] < 3:
+        raise ValueError(f"G must be (n, 2N+1) with N >= 1, got {G.shape}")
+    N = G.shape[-1] // 2
+    o = (N + 1) % 2                                            # first odd slot
+    # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even
+    # degrees and -conj(p) on odd ones, for G and for the solution alike
+    ge, go = G.copy(), G.conj()
+    ge[:, o::2], go[:, o::2] = -go[:, o::2], G[:, o::2]
+    lm = _split_negative(ge, go, N, where or (lambda i: f"loop {i}"))
+    lm[:, o::2] = -lm[:, o::2].conj()
+    GL = packed_mul(G, lm, -N, -N, -2 * N, 3 * N + 1)
+    return GL[:, 2 * N:], lm, np.abs(GL[:, :2 * N]).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +351,6 @@ def build_frame_field(up, um, consistency_tol=None):
     Lp = np.empty((nx, ny), complex)
     split_res = np.empty((nx, ny))
     consistency = np.empty((nx, ny))
-    o = (N + 1) % 2                                            # first odd slot
 
     def node_at(i):
         ix, iy = divmod(i, ny)
@@ -375,16 +362,10 @@ def build_frame_field(up, um, consistency_tol=None):
         # G(x, y) = U_minus(y)^{-1} U_plus(x), degrees -N..N
         G = packed_mul(Vinv[None, :], Up, -N, 0, -N, 2 * N + 1).reshape(
             -1, 2 * N + 1)
-        # column 0 of the split in scalars x_m = L_m[m % 2, 0]: p on even
-        # degrees and -conj(p) on odd ones, for G and for the solution alike
-        ge, go = G.copy(), G.conj()
-        ge[:, o::2], go[:, o::2] = -go[:, o::2], G[:, o::2]
-        lm = _split_negative(ge, go, N,
-                             lambda i: node_at(rows.start * ny + i))
-        lm[:, o::2] = -lm[:, o::2].conj()
-        GL = packed_mul(G, lm, -N, -N, -2 * N, 3 * N + 1)
-        split_res[rows] = np.abs(GL[:, :2 * N]).max(axis=1).reshape(-1, ny)
-        lp = GL[:, 2 * N:].reshape(-1, ny, N + 1)
+        lp, lm, res = birkhoff_split(
+            G, where=lambda i: node_at(rows.start * ny + i))
+        split_res[rows] = res.reshape(-1, ny)
+        lp = lp.reshape(-1, ny, N + 1)
         lm = lm.reshape(lp.shape)
         Lminus[rows], Lp[rows] = lm, lp[..., 0]
         consistency[rows] = np.abs(_uhat(up.coeffs[rows], lm, N) - packed_mul(

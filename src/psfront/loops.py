@@ -1,46 +1,41 @@
-"""Arithmetic for truncated matrix Laurent loops with the twist symmetry.
+"""Truncated Laurent loops with the twist symmetry, in the SU(2) real form.
 
-A loop here is a finite Laurent series sum_k C_k lambda^k with 2x2 complex
-coefficients, stored as a contiguous block of coefficients plus the lowest
-degree. The twist symmetry g(-lambda) = Ad(sigma3) g(lambda) forces even-degree
-coefficients to be diagonal and odd-degree ones to be anti-diagonal; those
-structural zeros are enforced at construction time.
+A loop is a finite Laurent series sum_k C_k lambda^k with 2x2 complex
+coefficients. The twist symmetry g(-lambda) = Ad(sigma3) g(lambda) makes
+even-degree coefficients diagonal and odd-degree ones anti-diagonal, and every
+loop the frame pipeline makes also lies in the SU(2) real form, with
+coefficients [[a, b], [-conj(b), conj(a)]]. Together that is one complex
+scalar per degree, stored as a contiguous block plus its lowest degree: the
+packed layout of every loop from the ladder to Sym. It cannot express a parity
+violation. packed_mul multiplies, packed_adjugate inverts a loop of
+determinant 1, packed_eval gives the first row (a, b) and its t-derivative,
+packed_unitarity the defect of |a|^2 + |b|^2 = 1; pack and unpack convert to
+and from (..., D, 2, 2) coefficient blocks.
 
-Every loop the frame pipeline makes also lies in the SU(2) real form, with
-coefficients [[a, b], [-conj(b), conj(a)]]: with the twist parity that is one
-complex scalar per degree, the layout of every loop from the ladder to Sym:
-packed_mul multiplies, packed_eval gives the first row (a, b) and its
-t-derivative, packed_unitarity the defect of |a|^2 + |b|^2 = 1; only pack and
-unpack convert it to and from 2x2 matrices.
-
-All products and inverses are window-truncated and reduce to one kernel,
-scalar_conv, a shift-add over the coefficients of its first factor, with
-arbitrary leading batch axes so that a block of grid nodes is processed in
-one call. The general complex product mul_coeffs is the reference for
-packed_mul; the TwistedLoop class wraps a single loop for the public
-operations.
+Every product reduces to one kernel, scalar_conv, a shift-add over the
+coefficients of its first factor on a fixed output window, with arbitrary
+leading batch axes so that a block of grid nodes is processed in one call.
+The general complex kernels on 2x2 coefficient blocks (mul_coeffs,
+adjugate_coeffs, det_coeffs, recip_coeffs, inverse_coeffs, eval_coeffs,
+unitarity_residual) are the references the packed kernels are tested
+against; nothing in the pipeline calls them.
 """
 
 import numpy as np
 
 DEFAULT_TRUNC = 16
-MAX_DEGREE = 64                     # hard cap for any requested window bound
-PARITY_TOL = 1e-12                  # structural-zero entries cleaned up to it
+MAX_DEGREE = 64                     # hard cap on the ladder's truncation degree
 PIVOT_TOL = 1e-12                   # smallest invertible degree-0 coefficient
 NEUMANN_MAX_TERMS = 80
 
 
 class TruncationOverflowError(ValueError):
-    """Requested degree window exceeds the configured maximum."""
+    """Requested truncation degree exceeds MAX_DEGREE."""
 
 
 class SingularSeriesError(ValueError):
     """Scalar series has no invertible degree-zero coefficient, or its
     Neumann reciprocal does not converge."""
-
-
-class ParityError(ValueError):
-    """Coefficients violate the twist parity pattern."""
 
 
 def sup_abs(arr):
@@ -49,16 +44,6 @@ def sup_abs(arr):
     if arr.size == 0:
         return 0.0
     return float(np.abs(arr).max())
-
-
-def _check_window(window):
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
-    if max(abs(lo), abs(hi)) > MAX_DEGREE:
-        raise TruncationOverflowError(
-            f"window {window} exceeds maximum degree {MAX_DEGREE}")
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -236,146 +221,3 @@ def unitarity_residual(Ue):
         sup_abs(u00 * u10.conj() + u01 * u11.conj()),
         sup_abs(u10 * u10.conj() + u11 * u11.conj() - 1.0),
         sup_abs(u00 * u11 - u01 * u10 - 1.0)]))
-
-
-def _parity_zeros(kmin, n):
-    """(n, 2, 2) mask of the entries the twist parity forces to zero."""
-    odd = (kmin + np.arange(n)) % 2 == 1
-    return np.eye(2, dtype=bool) == odd[:, None, None]
-
-
-def parity_violation(C, kmin):
-    """Largest entry sitting on a structural zero of the twist pattern."""
-    return sup_abs(C[..., _parity_zeros(kmin, C.shape[-3])])
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-
-class ScalarLaurent:
-    """Scalar Laurent polynomial: coefficient block plus lowest degree."""
-
-    def __init__(self, k_min, coeffs):
-        self.k_min = int(k_min)
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        if self.coeffs.ndim != 1:
-            raise ValueError("scalar coefficients must be one-dimensional")
-
-    @property
-    def k_max(self):
-        return self.k_min + len(self.coeffs) - 1
-
-    def coeff(self, deg):
-        i = deg - self.k_min
-        if 0 <= i < len(self.coeffs):
-            return complex(self.coeffs[i])
-        return 0j
-
-    def __call__(self, lam):
-        degs = self.k_min + np.arange(len(self.coeffs))
-        return complex(np.sum(self.coeffs * np.asarray(lam) ** degs.astype(float)))
-
-    def __repr__(self):
-        return f"ScalarLaurent(k_min={self.k_min}, n={len(self.coeffs)})"
-
-
-class TwistedLoop:
-    """Single twisted loop: (D, 2, 2) coefficient block plus lowest degree.
-
-    Construction verifies the parity pattern; entries up to PARITY_TOL on
-    structural zeros are cleaned to exact zeros, larger ones (or NaN) raise.
-    """
-
-    def __init__(self, k_min, coeffs):
-        self.k_min = int(k_min)
-        self.coeffs = np.array(coeffs, dtype=complex)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[-2:] != (2, 2):
-            raise ValueError("coefficients must have shape (D, 2, 2)")
-        if max(abs(self.k_min), abs(self.k_max)) > MAX_DEGREE:
-            raise TruncationOverflowError(
-                f"degrees [{self.k_min}, {self.k_max}] exceed {MAX_DEGREE}")
-        viol = parity_violation(self.coeffs, self.k_min)
-        if not viol <= PARITY_TOL:
-            raise ParityError(f"parity violation {viol:.3e} > {PARITY_TOL:g}")
-        self.coeffs[_parity_zeros(self.k_min, len(self.coeffs))] = 0.0
-
-    @property
-    def k_max(self):
-        return self.k_min + self.coeffs.shape[0] - 1
-
-    @property
-    def window(self):
-        return (self.k_min, self.k_max)
-
-    def coeff(self, deg):
-        i = deg - self.k_min
-        if 0 <= i < self.coeffs.shape[0]:
-            return self.coeffs[i].copy()
-        return np.zeros((2, 2), complex)
-
-    def __repr__(self):
-        return f"TwistedLoop(window=({self.k_min}, {self.k_max}))"
-
-
-def identity_loop():
-    return TwistedLoop(0, np.eye(2)[None])
-
-
-def from_coeff(deg, mat):
-    """Loop with a single coefficient at the given degree."""
-    return TwistedLoop(deg, np.asarray(mat, dtype=complex)[None])
-
-
-def loop_mul(a, b, window=None):
-    """Product of two twisted loops, truncated to the given degree window.
-
-    Without a window the natural product window is used, clipped to the
-    maximum degree. Twist parity is closed under products, so the result is
-    constructed without re-validation noise (parity of the inputs is exact).
-    """
-    if window is None:
-        lo = max(a.k_min + b.k_min, -MAX_DEGREE)
-        hi = min(a.k_max + b.k_max, MAX_DEGREE)
-    else:
-        lo, hi = _check_window(window)
-    out = mul_coeffs(a.coeffs, b.coeffs, a.k_min, b.k_min, lo, hi - lo + 1)
-    return TwistedLoop(lo, out)
-
-
-def loop_det(a):
-    """Determinant of a twisted loop as a scalar Laurent polynomial."""
-    det, dmin = det_coeffs(a.coeffs, a.k_min)
-    return ScalarLaurent(dmin, det)
-
-
-def scalar_reciprocal(d, window):
-    """Reciprocal of a scalar Laurent polynomial on a degree window."""
-    lo, hi = _check_window(window)
-    if not lo <= 0 <= hi:
-        raise ValueError("reciprocal window must contain degree 0")
-    r = recip_coeffs(d.coeffs, d.k_min, lo, hi - lo + 1)
-    return ScalarLaurent(lo, r)
-
-
-def loop_inverse(a, window=None):
-    """Inverse loop on a degree window (adjugate times det reciprocal)."""
-    if window is None:
-        lo, hi = -abs(a.k_min) - abs(a.k_max), abs(a.k_min) + abs(a.k_max)
-        lo, hi = max(lo, -MAX_DEGREE), min(hi, MAX_DEGREE)
-    else:
-        lo, hi = _check_window(window)
-    out = inverse_coeffs(a.coeffs, a.k_min, lo, hi - lo + 1)
-    return TwistedLoop(lo, out)
-
-
-def loop_eval(a, lam0):
-    """Evaluate a loop at a nonzero scalar; returns a 2x2 matrix."""
-    if lam0 == 0:
-        raise ValueError("cannot evaluate at lambda = 0")
-    return eval_coeffs(a.coeffs, a.k_min, lam0)
-
-
-def unitarity_check(a, lam_samples):
-    """Worst unitarity_residual of one loop over the sample points."""
-    return max((unitarity_residual(eval_coeffs(a.coeffs, a.k_min, lam))
-                for lam in lam_samples), default=0.0)

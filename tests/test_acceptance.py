@@ -7,6 +7,7 @@ Run with -s to see the per-criterion lines; each test prints
 import numpy as np
 
 import psfront as pf
+from psfront import loops
 
 
 def report(num, desc, value, tol, extra="", ok=None):
@@ -132,39 +133,29 @@ def test_10_graph_patch_curvature(ps_run):
            ok=kerr < 1e-2 and ang < 1e-3)
 
 
-def _random_factor(rng, k_min, k_max, scale, anchor):
+def _random_factor(rng, k_min, k_max, scale):
+    """A packed real-form loop on k_min..k_max, degree k scaled by scale^|k|."""
     degs = np.arange(k_min, k_max + 1)
-    C = (rng.normal(size=(len(degs), 2, 2))
-         + 1j * rng.normal(size=(len(degs), 2, 2)))
-    for i, k in enumerate(degs):
-        C[i] *= scale ** abs(k)
-        if k % 2 == 0:
-            C[i, 0, 1] = C[i, 1, 0] = 0.0
-        else:
-            C[i, 0, 0] = C[i, 1, 1] = 0.0
-    i0 = int(np.where(degs == 0)[0][0])
-    if anchor == "identity":
-        C[i0] = np.eye(2)
-    else:
-        C[i0] += 2.0 * np.eye(2)
-    return pf.TwistedLoop(k_min, C)
+    return ((rng.normal(size=len(degs)) + 1j * rng.normal(size=len(degs)))
+            * scale ** np.abs(degs))
 
 
 def test_11_factorization_quality(ps_run, ps_run_n8):
+    # real-form factors, L_plus with degree 0 offset by 2 and L_minus
+    # normalized, multiplied into G = L_plus L_minus^{-1} on -16..16
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(5):
-        Lp_true = _random_factor(rng, 0, 4, 0.1, anchor="offset")
-        Lm_true = _random_factor(rng, -4, 0, 0.1, anchor="identity")
-        G = pf.loop_mul(Lp_true, pf.loop_inverse(Lm_true, window=(-32, 0)),
-                        window=(-16, 16))
-        Lp, Lm = pf.birkhoff_split(G, n_trunc=16, residual_tol=1.0)
-        for k in range(0, 5):
-            worst = max(worst, float(np.abs(Lp.coeff(k)
-                                            - Lp_true.coeff(k)).max()))
-        for k in range(-4, 1):
-            worst = max(worst, float(np.abs(Lm.coeff(k)
-                                            - Lm_true.coeff(k)).max()))
+        Lp_true = _random_factor(rng, 0, 4, 0.1)
+        Lp_true[0] += 2.0
+        Lm_true = _random_factor(rng, -4, 0, 0.1)
+        Lm_true[-1] = 1.0
+        Lm_inv = loops.pack(loops.inverse_coeffs(
+            loops.unpack(Lm_true, -4), -4, -32, 33), -32)
+        G = loops.packed_mul(Lp_true, Lm_inv, 0, -32, -16, 33)
+        Lp, Lm, _ = pf.birkhoff_split(G[None])
+        worst = max(worst, float(np.abs(Lp[0, :5] - Lp_true).max()),
+                    float(np.abs(Lm[0, -5:] - Lm_true).max()))
     ratio = (float(ps_run_n8.field.split_residual.max())
              / float(ps_run.field.split_residual.max()))
     report(11, "constructed factors recovered by the split", worst, 1e-10,

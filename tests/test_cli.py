@@ -15,7 +15,7 @@ import pytest
 
 import psfront
 import psfront.cli as cli
-from psfront import analysis
+from psfront import analysis, frames, loops, sym
 
 
 def read_lines(path):
@@ -96,6 +96,20 @@ def test_verify_degenerate_image_passes_with_zero_regular_nodes(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "verify_vacuum_n17.json").read_text())
     assert summary["lambdas"]["1"]["regular nodes"] == 0
+
+
+def test_verify_first_form_residuals_are_relative(tmp_path):
+    # E = lam^2 and G = lam^-2 are checked as E / lam^2 - 1 and G lam^2 - 1;
+    # E - lam^2 read 1.04e-7 on rounding alone at lam = 1e4
+    rc = cli.main(["verify", "--preset", "pseudosphere", "--grid", "65",
+                   "--lambda", "1e4", "--out", str(tmp_path)])
+    assert rc == 1                            # the frame is not unitary there
+    summary = json.loads((tmp_path / "verify_pseudosphere_n65.json")
+                         .read_text())
+    checks = summary["lambdas"]["10000"]["checks"]
+    for name in ("first form E residual", "first form G residual"):
+        assert checks[name]["pass"] and checks[name]["residual"] <= 1e-14
+    assert not checks[analysis.UNITARITY_CHECK]["pass"]
 
 
 # -- the table of checked residuals ------------------------------------------
@@ -654,6 +668,30 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
     assert err.splitlines()[-1] == "psfront: error: Sym failed"
     assert not list(tmp_path.glob("*.csv"))
     assert multiprocessing.active_children() == []
+
+
+# -- the pipeline's loop kernels ---------------------------------------------
+
+def test_no_2x2_laurent_kernel_from_ladder_to_sym(tmp_path, monkeypatch):
+    # every loop from the ladder to Sym is packed; the 2x2 kernels are
+    # references only, so a run with each of them raising still completes
+    def refuse(*args, **kwargs):
+        raise RuntimeError("2x2 Laurent kernel called")
+
+    for owner, names in [(loops, ("mul_coeffs", "inverse_coeffs",
+                                  "det_coeffs", "recip_coeffs",
+                                  "eval_coeffs")),
+                         (frames, ("mul_coeffs", "inverse_coeffs",
+                                   "eval_coeffs")),
+                         (sym, ("eval_coeffs",))]:
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse)
+    assert cli.main(["verify", "--preset", "pseudosphere", "--grid", "17",
+                     "--out", str(tmp_path)]) != 2
+    assert cli.main(["sweep", "--preset", "c0_kink", "--amplitude", "0.5",
+                     "--grid", "33", "--lambda", "0.5,1,2", "--mesh",
+                     "--out", str(tmp_path)]) != 2
+    assert len(list(tmp_path.glob("*.obj"))) == 3
 
 
 # -- import cost and the benchmark tracer ------------------------------------

@@ -13,22 +13,13 @@ from conftest import connection_blocks
 from psfront import analysis, frames, loops
 from psfront.frames import (ConnectionShapeError, GridError, SplitError,
                             truncation_tail)
-from psfront.loops import TwistedLoop
 
 
-def random_twisted(rng, k_min, k_max, scale, diag_anchor=None):
-    n = k_max - k_min + 1
-    C = np.zeros((n, 2, 2), complex)
-    for i in range(n):
-        k = k_min + i
-        z = (rng.normal(size=2) + 1j * rng.normal(size=2)) * scale ** abs(k)
-        if k % 2 == 0:
-            C[i, 0, 0], C[i, 1, 1] = z
-        else:
-            C[i, 0, 1], C[i, 1, 0] = z
-    if diag_anchor is not None:
-        C[-k_min] = diag_anchor
-    return TwistedLoop(k_min, C)
+def random_packed(rng, n, k_min, k_max, scale):
+    """n packed real-form loops on k_min..k_max, decaying like scale^|k|."""
+    degs = np.arange(k_min, k_max + 1)
+    return ((rng.normal(size=(n, len(degs)))
+             + 1j * rng.normal(size=(n, len(degs)))) * scale ** np.abs(degs))
 
 
 # -- half-frame ladder -------------------------------------------------------
@@ -98,10 +89,10 @@ def test_ladder_decay_is_factorial():
 def test_y_axis_family_has_nonpositive_degrees():
     fam = pf.integrate_half_frame(pf.preset_pseudosphere(), "y",
                                   np.linspace(-2, 2, 17))
-    assert fam.k_min == -fam.n_trunc
-    loop = fam.loop_at(3)
-    assert loop.window == (-16, 0)
-    assert np.array_equal(loops.pack(loop.coeffs, -16), fam.coeffs[3])
+    assert fam.k_min == -fam.n_trunc == -16
+    assert fam.coeffs.shape == (17, 17)
+    # degree 0, the last slot, is the identity's at the origin only
+    assert fam.coeffs[8, -1] == 1.0 and np.all(fam.coeffs[8, :-1] == 0.0)
 
 
 def test_grid_validation():
@@ -121,77 +112,96 @@ def test_grid_validation():
 # -- Birkhoff splitting ------------------------------------------------------
 
 def test_split_identity():
-    Lp, Lm = pf.birkhoff_split(pf.identity_loop())
-    assert np.all(Lp.coeff(0) == np.eye(2))
-    assert Lm.window == (0, 0)
+    G = np.zeros((1, 33), complex)
+    G[0, 16] = 1.0
+    Lp, Lm, res = pf.birkhoff_split(G)
+    assert np.array_equal(Lp, G[:, 16:])
+    assert np.array_equal(Lm, G[:, :17])
+    assert np.array_equal(res, [0.0])
 
 
 def test_split_nonnegative_is_trivial():
     rng = np.random.default_rng(2)
-    g = random_twisted(rng, 0, 4, 0.3, diag_anchor=np.eye(2))
-    Lp, Lm = pf.birkhoff_split(g)
-    assert Lp is g
-    assert np.all(Lm.coeff(0) == np.eye(2))
+    G = np.zeros((1, 33), complex)
+    G[0, 16:21] = random_packed(rng, 1, 0, 4, 0.3)
+    G[0, 16] = 1.0
+    Lp, Lm, res = pf.birkhoff_split(G)
+    assert np.array_equal(Lp, G[:, 16:])
+    assert Lm[0, -1] == 1.0 and np.all(Lm[0, :-1] == 0.0)
+    assert np.array_equal(res, [0.0])
 
 
-def constructed_pair(rng, scale, n_trunc=16):
-    """Random normalized factor pair and their product on the full window."""
-    Lp_true = random_twisted(rng, 0, 4, scale, diag_anchor=np.eye(2))
-    Lm_true = random_twisted(rng, -4, 0, scale, diag_anchor=np.eye(2))
-    Lm_inv = pf.loop_inverse(Lm_true, window=(-2 * n_trunc, 0))
-    G = pf.loop_mul(Lp_true, Lm_inv, window=(-n_trunc, n_trunc))
-    return Lp_true, Lm_true, G
+def constructed_pair(rng, scale, n=1, n_trunc=16):
+    """n normalized packed factor pairs, L_plus on 0..4 and L_minus on -4..0,
+    and G = L_plus L_minus^{-1} on -n_trunc..n_trunc, with L_minus^{-1} from
+    the reference inverse on -2 n_trunc..0."""
+    Lp_true = random_packed(rng, n, 0, 4, scale)
+    Lm_true = random_packed(rng, n, -4, 0, scale)
+    Lp_true[:, 0] = Lm_true[:, -1] = 1.0
+    return Lp_true, Lm_true, packed_quotient(Lp_true, Lm_true, 0, -4, n_trunc)
+
+
+def packed_quotient(lp, lm, lpmin, lmmin, n_trunc):
+    """lp lm^{-1} on -n_trunc..n_trunc, lm inverted by the reference kernel
+    on -2 n_trunc..0 (the real form is closed under inversion)."""
+    inv = loops.inverse_coeffs(loops.unpack(lm, lmmin), lmmin, -2 * n_trunc,
+                               2 * n_trunc + 1)
+    return loops.packed_mul(lp, loops.pack(inv, -2 * n_trunc), lpmin,
+                            -2 * n_trunc, -n_trunc, 2 * n_trunc + 1)
 
 
 def test_constructed_factor_round_trip():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for trial in range(20):
-        scale = 0.05 if trial % 2 == 0 else 0.2
-        Lp_true, Lm_true, G = constructed_pair(rng, scale)
-        # below degree -16 the windowed product keeps truncation junk the
-        # solver never sees, so the residual gate is disabled and the
-        # recovered factors plus the solved degree range are asserted instead
-        Lp, Lm = pf.birkhoff_split(G, n_trunc=16, residual_tol=1.0)
-        for deg in range(0, 5):
-            worst = max(worst, loops.sup_abs(Lp.coeff(deg) - Lp_true.coeff(deg)))
-        for deg in range(-4, 1):
-            worst = max(worst, loops.sup_abs(Lm.coeff(deg) - Lm_true.coeff(deg)))
-        solved = pf.loop_mul(G, Lm, window=(-16, -1))
-        assert loops.sup_abs(solved.coeffs) < 1e-12
+    scale = np.where(np.arange(20) % 2 == 0, 0.05, 0.2)[:, None]
+    Lp_true, Lm_true, G = constructed_pair(rng, scale, n=20)
+    # below degree -16 the windowed product G L_minus keeps truncation junk
+    # the solver never sees, so the recovered factors and the solved degree
+    # range are asserted instead of the residual
+    Lp, Lm, _ = pf.birkhoff_split(G)
+    assert Lp.shape == Lm.shape == (20, 17)
+    worst = max(loops.sup_abs(Lp[:, :5] - Lp_true),
+                loops.sup_abs(Lm[:, -5:] - Lm_true))
     assert worst < 1e-10
+    solved = loops.packed_mul(G, Lm, -16, -16, -16, 16)
+    assert loops.sup_abs(solved) < 1e-12
 
 
 def test_split_idempotent():
     rng = np.random.default_rng(21)
-    Lp_true, Lm_true, G = constructed_pair(rng, 0.1)
-    Lp, Lm = pf.birkhoff_split(G, n_trunc=16, residual_tol=1.0)
-    G2 = pf.loop_mul(Lp, pf.loop_inverse(Lm, window=(-32, 0)),
-                     window=(-16, 16))
-    Lp2, Lm2 = pf.birkhoff_split(G2, n_trunc=16, residual_tol=1.0)
-    assert loops.sup_abs(Lp2.coeffs - Lp.coeffs) < 1e-12
-    dmax = min(Lm2.coeffs.shape[0], Lm.coeffs.shape[0])
-    assert loops.sup_abs(Lm2.coeffs[-dmax:] - Lm.coeffs[-dmax:]) < 1e-12
+    _, _, G = constructed_pair(rng, 0.1)
+    Lp, Lm, _ = pf.birkhoff_split(G)
+    Lp2, Lm2, _ = pf.birkhoff_split(packed_quotient(Lp, Lm, 0, -16, 16))
+    assert loops.sup_abs(Lp2 - Lp) < 1e-12
+    assert loops.sup_abs(Lm2 - Lm) < 1e-12
 
 
 def test_split_rejects_small_truncation():
-    rng = np.random.default_rng(3)
-    _, _, G = constructed_pair(rng, 0.1)
-    with pytest.raises(ValueError):
-        pf.birkhoff_split(G, n_trunc=8)
+    # N is read from the shape: an even or a one-degree window has none
+    for shape in [(1, 32), (1, 1), (33,), (1, 1, 33)]:
+        with pytest.raises(ValueError, match=r"2N\+1"):
+            pf.birkhoff_split(np.ones(shape, complex))
 
 
 def test_split_residual_gate():
+    # the residual is returned, not gated: it is the largest coefficient of
+    # G L_minus on degrees -2N..-1, per loop
     rng = np.random.default_rng(4)
-    _, _, G = constructed_pair(rng, 0.2)
-    with pytest.raises(SplitError):
-        pf.birkhoff_split(G, n_trunc=16, residual_tol=1e-30)
+    _, _, G = constructed_pair(rng, 0.2, n=3)
+    _, Lm, res = pf.birkhoff_split(G)
+    GL = loops.mul_coeffs(loops.unpack(G, -16), loops.unpack(Lm, -16),
+                          -16, -16, -32, 32)
+    want = np.abs(GL).max(axis=(1, 2, 3))
+    assert res.shape == (3,) and np.all(want > 0.0)
+    np.testing.assert_allclose(res, want, rtol=1e-12)
 
 
 def test_split_singular_system():
-    G = TwistedLoop(-2, np.zeros((5, 2, 2)))
-    with pytest.raises(SplitError):
+    G = np.zeros((2, 5), complex)
+    G[0, 2] = 1.0
+    with pytest.raises(SplitError, match="singular Toeplitz system at loop 1"):
         pf.birkhoff_split(G)
+    with pytest.raises(SplitError, match="at node 7"):
+        pf.birkhoff_split(G, where=lambda i: f"node {i + 6}")
 
 
 # -- frame field -------------------------------------------------------------
@@ -309,13 +319,32 @@ def test_kept_factor_slices_are_the_split_coefficients():
     um = pf.integrate_half_frame(spec, "y", x, n_trunc=N)
     field = pf.build_frame_field(up, um)
     assert field.Lp.shape == field.Lm.shape == (17, 17)
-    # origin, corner, both axes (the kink lines) and interior nodes
+    # origin, corner, both axes (the kink lines) and interior nodes; the
+    # defining equations of the split, with the 2x2 reference kernels
     for ix, iy in [(8, 8), (0, 16), (8, 3), (2, 8), (3, 13), (14, 5)]:
-        G = pf.loop_mul(pf.loop_inverse(um.loop_at(iy), window=(-N, 0)),
-                        up.loop_at(ix), window=(-N, N))
-        Lp, Lm = pf.birkhoff_split(G, n_trunc=N)
-        assert abs(Lp.coeff(0)[0, 0] - field.Lp[ix, iy]) <= 1e-13
-        assert abs(Lm.coeff(-1)[0, 1] - field.Lm[ix, iy]) <= 1e-13
+        Vinv = loops.inverse_coeffs(loops.unpack(um.coeffs[iy], -N), -N, -N,
+                                    N + 1)
+        G = loops.mul_coeffs(Vinv, loops.unpack(up.coeffs[ix], 0), -N, 0, -N,
+                             2 * N + 1)
+        Lminus = loops.unpack(field.Lminus[ix, iy], -N)
+        GL = loops.mul_coeffs(G, Lminus, -N, -N, -N, N + 1)
+        assert np.abs(GL[:N]).max() <= 1e-13
+        assert abs(GL[N, 0, 0] - field.Lp[ix, iy]) <= 1e-13
+        assert np.array_equal(Lminus[N], np.eye(2))
+    assert np.array_equal(field.Lm, field.Lminus[..., N - 1])
+
+
+@pytest.mark.parametrize("preset, amplitude, n_trunc, half", [
+    ("pseudosphere", None, 16, 2.0), ("c0_kink", 0.6, 8, 2.0),
+    ("pseudosphere", None, 16, 4.0), ("c0_kink", 0.5, 16, 4.0)])
+def test_y_family_adjugate_is_its_inverse(preset, amplitude, n_trunc, half):
+    # the build inverts U_minus by its adjugate: det V = 1 on degrees -N..0
+    N = n_trunc
+    um = pf.integrate_half_frame(pf.preset_by_name(preset, amplitude), "y",
+                                 np.linspace(-half, half, 129), n_trunc=N)
+    adj = loops.unpack(loops.packed_adjugate(um.coeffs, -N), -N)
+    inv = loops.inverse_coeffs(loops.unpack(um.coeffs, -N), -N, -N, N + 1)
+    assert np.abs(adj - inv).max() <= 1e-13
 
 
 @pytest.mark.parametrize("preset, amplitude, n_trunc",

@@ -1,4 +1,5 @@
-"""Twisted-loop arithmetic: products, inverses, evaluation, structure checks."""
+"""Laurent loop kernels: packed real-form loops against the 2x2 references,
+and the reference products, inverses and evaluation themselves."""
 
 import math
 
@@ -10,15 +11,16 @@ from scipy.linalg import expm
 
 import psfront as pf
 from psfront import loops
-from psfront.loops import (ParityError, ScalarLaurent, SingularSeriesError,
-                           TruncationOverflowError, TwistedLoop)
+from psfront.loops import SingularSeriesError, TruncationOverflowError
 
+I2 = np.eye(2, dtype=complex)
 K_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 PAULI = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
 
 
 def random_twisted(rng, k_min, k_max, scale, anchor=False):
-    """Parity-respecting loop with coefficients decaying like scale^|k|."""
+    """(D, 2, 2) parity-respecting coefficients on k_min..k_max, decaying
+    like scale^|k|."""
     n = k_max - k_min + 1
     C = np.zeros((n, 2, 2), complex)
     for i in range(n):
@@ -31,7 +33,13 @@ def random_twisted(rng, k_min, k_max, scale, anchor=False):
     if anchor:
         C[-k_min, 0, 0] += 2.0
         C[-k_min, 1, 1] += 2.0
-    return TwistedLoop(k_min, C)
+    return C
+
+
+def parity_zeros(k_min, n):
+    """(n, 2, 2) mask of the entries the twist parity forces to zero."""
+    odd = (k_min + np.arange(n)) % 2 == 1
+    return np.eye(2, dtype=bool) == odd[:, None, None]
 
 
 # -- products ---------------------------------------------------------------
@@ -39,16 +47,14 @@ def random_twisted(rng, k_min, k_max, scale, anchor=False):
 def test_identity_is_neutral():
     rng = np.random.default_rng(0)
     a = random_twisted(rng, -3, 3, 0.5)
-    prod = pf.loop_mul(pf.identity_loop(), a)
-    assert prod.window == a.window
-    np.testing.assert_allclose(prod.coeffs, a.coeffs, atol=1e-15)
+    prod = loops.mul_coeffs(I2[None], a, 0, -3, -3, 7)
+    np.testing.assert_allclose(prod, a, atol=1e-15)
 
 
 def test_degree_one_rotation_squares_to_minus_lambda_squared():
-    a = pf.from_coeff(1, K_ROT)
-    sq = pf.loop_mul(a, a)
-    assert sq.window == (2, 2)
-    np.testing.assert_allclose(sq.coeff(2), -np.eye(2), atol=1e-15)
+    a = K_ROT[None].astype(complex)
+    sq = loops.mul_coeffs(a, a, 1, 1, 2, 1)
+    np.testing.assert_allclose(sq[0], -I2, atol=1e-15)
 
 
 @settings(max_examples=120, deadline=None)
@@ -111,63 +117,62 @@ def test_product_parity_is_closed():
     rng = np.random.default_rng(5)
     a = random_twisted(rng, -2, 2, 0.7)
     b = random_twisted(rng, -2, 2, 0.7)
-    prod = pf.loop_mul(a, b, window=(-4, 4))
-    assert loops.parity_violation(prod.coeffs, prod.k_min) == 0.0
+    prod = loops.mul_coeffs(a, b, -2, -2, -4, 9)
+    assert np.all(prod[parity_zeros(-4, 9)] == 0.0)
 
 
 # -- determinant and reciprocal --------------------------------------------
 
 def test_det_of_identity_is_one():
-    d = pf.loop_det(pf.identity_loop())
-    assert d.coeff(0) == 1.0 and abs(d.coeff(2)) == 0.0
+    d, dmin = loops.det_coeffs(I2[None], 0)
+    assert dmin == 0 and np.array_equal(d, [1.0])
 
 
 def test_det_of_unit_diagonal_is_one():
     th = 0.83
-    g = pf.from_coeff(0, np.diag([np.exp(1j * th), np.exp(-1j * th)]))
-    d = pf.loop_det(g)
-    assert abs(d.coeff(0) - 1.0) < 1e-15
+    g = np.diag([np.exp(1j * th), np.exp(-1j * th)])[None]
+    d, _ = loops.det_coeffs(g, 0)
+    assert abs(d[0] - 1.0) < 1e-15
 
 
 def test_det_with_negative_degree_block():
     b = 0.7 - 0.4j
     Q = np.array([[0.0, b], [-np.conj(b), 0.0]])
-    g = TwistedLoop(-1, np.stack([Q, np.eye(2)]))
-    d = pf.loop_det(g)
-    assert abs(d.coeff(0) - 1.0) < 1e-15
-    assert abs(d.coeff(-2) - abs(b) ** 2) < 1e-15
-    assert abs(d.coeff(-1)) < 1e-15
+    d, dmin = loops.det_coeffs(np.stack([Q, I2]), -1)
+    assert dmin == -2
+    assert abs(d[2] - 1.0) < 1e-15
+    assert abs(d[0] - abs(b) ** 2) < 1e-15
+    assert abs(d[1]) < 1e-15
 
 
 def test_scalar_reciprocal_geometric_series():
     eps = 0.3
-    d = ScalarLaurent(-2, np.array([eps, 0.0, 1.0]))  # 1 + eps lam^-2
-    r = pf.scalar_reciprocal(d, (-6, 0))
+    d = np.array([eps, 0.0, 1.0])               # 1 + eps lam^-2
+    r = loops.recip_coeffs(d, -2, -6, 7)
     for j in range(4):
-        assert abs(r.coeff(-2 * j) - (-eps) ** j) < 1e-14
+        assert abs(r[6 - 2 * j] - (-eps) ** j) < 1e-14
 
 
 def test_scalar_reciprocal_random_residual():
     rng = np.random.default_rng(9)
     co = 0.1 * (rng.normal(size=7) + 1j * rng.normal(size=7))
     co[3] += 1.0                                # near-identity pivot
-    d = ScalarLaurent(-3, co)
-    r = pf.scalar_reciprocal(d, (-8, 8))
-    prod = loops.scalar_conv(d.coeffs, r.coeffs, d.k_min, r.k_min, -5, 11)
+    r = loops.recip_coeffs(co, -3, -8, 17)
+    prod = loops.scalar_conv(co, r, -3, -8, -5, 11)
     prod[5] -= 1.0
     assert np.abs(prod).max() < 1e-12
 
 
 def test_scalar_reciprocal_divergent_neumann_sum_raises():
-    d = ScalarLaurent(-1, np.array([0.9, 1.0, 0.9]))  # |e| = 1.8 on |lam| = 1
+    d = np.array([0.9, 1.0, 0.9])               # |e| = 1.8 on |lam| = 1
     with pytest.raises(SingularSeriesError, match="not converged"):
-        pf.scalar_reciprocal(d, (-8, 8))
+        loops.recip_coeffs(d, -1, -8, 17)
 
 
 def test_scalar_reciprocal_requires_pivot():
-    d = ScalarLaurent(0, np.array([0.0, 1.0]))  # plain lambda, no constant term
+    d = np.array([0.0, 1.0])                    # plain lambda, no constant term
     with pytest.raises(SingularSeriesError):
-        pf.scalar_reciprocal(d, (-2, 2))
+        loops.recip_coeffs(d, 0, -2, 5)
 
 
 def test_scalar_reciprocal_rejects_nan_pivot():
@@ -176,76 +181,71 @@ def test_scalar_reciprocal_rejects_nan_pivot():
 
 
 def test_scalar_reciprocal_rejects_non_finite_coefficient():
-    d = ScalarLaurent(-1, np.array([np.inf, 1.0, 0.1]))   # finite pivot
+    d = np.array([np.inf, 1.0, 0.1])            # finite pivot
     with pytest.raises(SingularSeriesError, match="non-finite"):
-        pf.scalar_reciprocal(d, (-4, 4))
+        loops.recip_coeffs(d, -1, -4, 9)
 
 
 # -- inverses ----------------------------------------------------------------
 
 def test_inverse_of_constant_rotation():
     th = 1.2
-    g = pf.from_coeff(0, np.diag([np.exp(1j * th), np.exp(-1j * th)]))
-    inv = pf.loop_inverse(g, window=(0, 0))
+    g = np.diag([np.exp(1j * th), np.exp(-1j * th)])[None]
+    inv = loops.inverse_coeffs(g, 0, 0, 1)
     np.testing.assert_allclose(
-        inv.coeff(0), np.diag([np.exp(-1j * th), np.exp(1j * th)]), atol=1e-15)
+        inv[0], np.diag([np.exp(-1j * th), np.exp(1j * th)]), atol=1e-15)
 
 
 def test_inverse_round_trip_on_window():
     rng = np.random.default_rng(11)
     a = random_twisted(rng, -3, 3, 0.25, anchor=True)
-    inv = pf.loop_inverse(a, window=(-12, 12))
-    prod = pf.loop_mul(a, inv, window=(-6, 6))
-    target = np.zeros_like(prod.coeffs)
-    target[6] = np.eye(2)
-    assert loops.sup_abs(prod.coeffs - target) < 1e-12
+    inv = loops.inverse_coeffs(a, -3, -12, 25)
+    prod = loops.mul_coeffs(a, inv, -3, -12, -6, 13)
+    target = np.zeros_like(prod)
+    target[6] = I2
+    assert loops.sup_abs(prod - target) < 1e-12
 
 
 def test_inverse_of_identity_plus_negative_part():
     b = 0.4 + 0.2j
     Q = np.array([[0.0, b], [-np.conj(b), 0.0]])
-    g = TwistedLoop(-1, np.stack([Q, np.eye(2)]))
-    inv = pf.loop_inverse(g, window=(-16, 0))
-    prod = pf.loop_mul(g, inv, window=(-12, 0))
-    target = np.zeros_like(prod.coeffs)
-    target[12] = np.eye(2)
-    assert loops.sup_abs(prod.coeffs - target) < 1e-12
+    g = np.stack([Q, I2])
+    inv = loops.inverse_coeffs(g, -1, -16, 17)
+    prod = loops.mul_coeffs(g, inv, -1, -16, -12, 13)
+    target = np.zeros_like(prod)
+    target[12] = I2
+    assert loops.sup_abs(prod - target) < 1e-12
 
 
 # -- evaluation --------------------------------------------------------------
 
 def test_eval_scales_degrees():
-    a = pf.from_coeff(1, K_ROT)
-    np.testing.assert_allclose(pf.loop_eval(a, 2.0), 2.0 * K_ROT, atol=1e-15)
-
-
-def test_eval_rejects_zero():
-    with pytest.raises(ValueError):
-        pf.loop_eval(pf.identity_loop(), 0.0)
+    np.testing.assert_allclose(loops.eval_coeffs(K_ROT[None], 1, 2.0),
+                               2.0 * K_ROT, atol=1e-15)
 
 
 def exp_loop(xval, n_deg=16):
-    """Truncated series of exp((i/2) x lam P) as a twisted loop."""
+    """Truncated series of exp((i/2) x lam P) on degrees 0..n_deg."""
     C = np.zeros((n_deg + 1, 2, 2), complex)
     for k in range(n_deg + 1):
         C[k] = np.linalg.matrix_power(0.5j * xval * PAULI, k) / math.factorial(k)
-    return TwistedLoop(0, C)
+    return C
 
 
 def test_eval_matches_matrix_exponential():
-    a = exp_loop(1.0)
-    assert loops.sup_abs(pf.loop_eval(a, 1.0) - expm(0.5j * PAULI)) < 1e-13
+    got = loops.eval_coeffs(exp_loop(1.0), 0, 1.0)
+    assert loops.sup_abs(got - expm(0.5j * PAULI)) < 1e-13
 
 
 def test_eval_homomorphism_window_sweep():
     rng = np.random.default_rng(3)
     a = random_twisted(rng, -6, 6, 0.8)
     b = random_twisted(rng, -6, 6, 0.8)
-    target = pf.loop_eval(a, 1.0) @ pf.loop_eval(b, 1.0)
+    target = loops.eval_coeffs(a, -6, 1.0) @ loops.eval_coeffs(b, -6, 1.0)
     errs = []
     for w in (8, 16, 32):
-        prod = pf.loop_mul(a, b, window=(-w, w))
-        errs.append(loops.sup_abs(pf.loop_eval(prod, 1.0) - target))
+        prod = loops.mul_coeffs(a, b, -6, -6, -w, 2 * w + 1)
+        errs.append(loops.sup_abs(loops.eval_coeffs(prod, -w, 1.0) - target))
     assert errs[0] > errs[1]            # window 8 clips real content
     assert errs[1] >= errs[2]
     assert errs[2] < 1e-12              # window 32 holds the full product
@@ -254,14 +254,14 @@ def test_eval_homomorphism_window_sweep():
 # -- unitarity ---------------------------------------------------------------
 
 def test_truncated_exponential_is_unitary():
-    a = exp_loop(1.0)
-    assert pf.unitarity_check(a, (0.5, 1.0, 2.0)) < 1e-10
+    C = exp_loop(1.0)
+    assert max(loops.unitarity_residual(loops.eval_coeffs(C, 0, lam))
+               for lam in (0.5, 1.0, 2.0)) < 1e-10
 
 
 def test_scaled_identity_is_flagged():
-    a = pf.from_coeff(0, 1.1 * np.eye(2))
-    assert pf.unitarity_check(a, (1.0,)) >= 0.21 - 1e-12
-    assert pf.unitarity_check(a, ()) == 0.0
+    U = loops.eval_coeffs(1.1 * I2[None], 0, 1.0)
+    assert loops.unitarity_residual(U) >= 0.21 - 1e-12
 
 
 @settings(max_examples=120, deadline=None)
@@ -295,35 +295,13 @@ def test_unitarity_residual_matches_matrix_form():
                                                         rel=1e-14)
 
 
-# -- structure validation ----------------------------------------------------
-
-def test_parity_violation_raises():
-    C = np.zeros((1, 2, 2), complex)
-    C[0, 0, 1] = 1e-3                   # off-diagonal entry at even degree
-    with pytest.raises(ParityError):
-        TwistedLoop(0, C)
-    C[0, 0, 1] = np.nan
-    with pytest.raises(ParityError):
-        TwistedLoop(0, C)
-
-
-def test_small_parity_noise_is_cleaned():
-    C = np.zeros((1, 2, 2), complex)
-    C[0, 0, 0] = 1.0
-    C[0, 0, 1] = 1e-14
-    a = TwistedLoop(0, C)
-    assert a.coeffs[0, 0, 1] == 0.0
-
+# -- degree cap --------------------------------------------------------------
 
 def test_window_overflow_raises():
+    # the ladder's truncation degree is the one window a caller chooses
+    grid = np.linspace(-2, 2, 17)
+    spec = pf.preset_pseudosphere()
+    fam = pf.integrate_half_frame(spec, "x", grid, n_trunc=loops.MAX_DEGREE)
+    assert fam.coeffs.shape == (17, loops.MAX_DEGREE + 1)
     with pytest.raises(TruncationOverflowError):
-        TwistedLoop(0, np.zeros((loops.MAX_DEGREE + 2, 2, 2)))
-    a = pf.from_coeff(0, np.eye(2))
-    with pytest.raises(TruncationOverflowError):
-        pf.loop_mul(a, a, window=(-80, 80))
-
-
-def test_coeff_outside_window_is_zero():
-    a = pf.from_coeff(1, K_ROT)
-    assert np.all(a.coeff(3) == 0.0)
-    assert a.window == (1, 1)
+        pf.integrate_half_frame(spec, "x", grid, n_trunc=loops.MAX_DEGREE + 1)
