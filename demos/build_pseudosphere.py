@@ -37,5 +37,5 @@ print(f"rigid alignment against the closed form:")
 print(f"  rotation determinant   {np.linalg.det(R):+.6f}")
 print(f"  worst point deviation  {np.linalg.norm(res, axis=-1).max():.3e}")
 
-omega = conn.phihat + conn.alpha[:, None]
+omega = conn.omega
 print(f"  angle field deviation  {np.abs(omega - omega_ref).max():.3e}")

@@ -19,7 +19,7 @@ up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)
 um = pf.integrate_half_frame(spec, "y", x, n_trunc=16)
 field = pf.build_frame_field(up, um)
 conn = pf.extract_connection(field)
-omega = conn.phihat + conn.alpha[:, None]
+omega = conn.omega
 
 # the corner is visible in the recovered boundary data
 a_hat, b_hat = pf.recover_boundary_angles(omega, x, x)

@@ -16,7 +16,7 @@ up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)
 um = pf.integrate_half_frame(spec, "y", x, n_trunc=16)
 field = pf.build_frame_field(up, um)
 conn = pf.extract_connection(field)
-omega = conn.phihat + conn.alpha[:, None]
+omega = conn.omega
 
 print("lambda    |E - l^2|    |G - 1/l^2|  |F - cos(omega)|   area bbox")
 for lam in (0.25, 0.5, 1.0, 2.0, 4.0):

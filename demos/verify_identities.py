@@ -16,7 +16,7 @@ up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)
 um = pf.integrate_half_frame(spec, "y", x, n_trunc=16)
 field = pf.build_frame_field(up, um)
 conn = pf.extract_connection(field)
-omega = conn.phihat + conn.alpha[:, None]
+omega = conn.omega
 S = pf.sym_immersion(field, 1.0, conn=conn)
 forms = pf.fundamental_forms(S)
 zcc = float(pf.zcc_residual(conn).max())

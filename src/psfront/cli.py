@@ -2,10 +2,10 @@
 
 Subcommands: generate (run the pipeline and write meshes), verify (residuals
 of every checked identity against tolerances, JSON summary, exit 0 iff all
-pass), export (OBJ, PLY or CSV, plus coordinate-curve polylines and frame
-glyphs), sweep (several evaluation points from one frame build; a frame
-less unitary than verify's tolerance gets a warning) and oracle-sg (the
-direct sine-Gordon solver on preset boundary data).
+pass), export (OBJ, PLY or CSV of one lambda, plus coordinate-curve
+polylines and frame glyphs), sweep (several evaluation points from one
+frame build; a frame less unitary than verify's tolerance gets a warning)
+and oracle-sg (the direct sine-Gordon solver on preset boundary data).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
@@ -212,10 +212,6 @@ def _surface(field, conn, lam):
     return sym.sym_immersion(field, lam, conn=conn)
 
 
-def _omega(conn):
-    return conn.phihat + conn.alpha[:, None]
-
-
 # ---------------------------------------------------------------------------
 # writers
 
@@ -408,7 +404,6 @@ def cmd_verify(args):
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
-    omega = _omega(conn)
     zcc_sup = float(frames.zcc_residual(conn).max())
     summary = {"preset": cfg.name, "grid": cfg.grid, "trunc": cfg.trunc,
                "interval": list(cfg.interval), "lambdas": {}, "pass": True}
@@ -418,7 +413,7 @@ def cmd_verify(args):
         rep = analysis.fundamental_forms(S)
         entry = {"regular nodes": rep.regular_count, "checks": {}}
         for name, _, check in analysis.CHECKS:
-            residual = check(S, rep, omega, zcc_sup)
+            residual = check(S, rep, conn.omega, zcc_sup)
             tol = cfg.tolerances[name]
             ok = residual < tol
             entry["checks"][name] = {"residual": residual, "tolerance": tol,
@@ -447,11 +442,15 @@ def cmd_export(args):
     import numpy as np
     from . import analysis
     cfg = RunConfig.from_args(args)
+    if len(cfg.lambdas) != 1:
+        raise ConfigError(f"export writes one surface: give one --lambda "
+                          f"value, got {len(cfg.lambdas)}")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     lam = cfg.lambdas[0]
     S = _surface(field, conn, lam)
-    omega = _omega(conn)
     stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
     written = []
     path = os.path.join(cfg.out, stem + "." + args.format)
@@ -468,16 +467,16 @@ def cmd_export(args):
         for k in range(3):
             cols.append(S.N[..., k].ravel())
         cols += [rep.E.ravel(), rep.F.ravel(), rep.G.ravel(), rep.K.ravel(),
-                 omega.ravel()]
+                 conn.omega.ravel()]
         write_csv(path, header, cols)
     written.append(path)
     if args.curves:
         path = os.path.join(cfg.out, stem + "_curves.obj")
-        write_obj(path, S.f, curves_stride=max(1, args.stride))
+        write_obj(path, S.f, curves_stride=args.stride)
         written.append(path)
     if args.glyphs:
         path = os.path.join(cfg.out, stem + "_glyphs.csv")
-        write_frame_glyphs(path, S, omega)
+        write_frame_glyphs(path, S, conn.omega)
         written.append(path)
     for p in written:
         print(f"wrote {p}")
@@ -489,7 +488,6 @@ def cmd_sweep(args):
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
-    omega = _omega(conn)
     unit_tol = cfg.tolerances[analysis.UNITARITY_CHECK]
     checks = {name: check for name, _, check in analysis.CHECKS}
     columns = [checks[name] for name in SWEEP_COLUMNS.values()]
@@ -502,7 +500,7 @@ def cmd_sweep(args):
                 print(f"warning: frame at lambda={lam:g} is not unitary "
                       f"(residual {S.unitarity:.3e})", file=sys.stderr)
             rep = analysis.fundamental_forms(S)
-            rows.append([lam] + [check(S, rep, omega, None)
+            rows.append([lam] + [check(S, rep, conn.omega, None)
                                  for check in columns]
                         + [float(rep.regular_count)])
             if args.mesh:
@@ -556,28 +554,31 @@ def build_parser():
                         help="built-in potential (overrides config)")
     common.add_argument("--amplitude", type=float,
                         help="slope for the c0_kink preset")
-    common.add_argument("--lambda", dest="lambdas", metavar="L1,L2,...",
-                        help="comma list of evaluation points, all > 0")
     common.add_argument("--grid", type=int, metavar="N",
                         help="nodes per axis (default 129)")
-    common.add_argument("--trunc", type=int, metavar="K",
-                        help="Laurent truncation degree (default 16)")
     common.add_argument("--out", metavar="DIR", help="output directory")
+    # the flags of the frame build, which oracle-sg does not run
+    frame = argparse.ArgumentParser(add_help=False)
+    frame.add_argument("--lambda", dest="lambdas", metavar="L1,L2,...",
+                       help="comma list of evaluation points, all > 0")
+    frame.add_argument("--trunc", type=int, metavar="K",
+                       help="Laurent truncation degree (default 16)")
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[common, frame],
                        help="run the pipeline and write meshes")
     p.add_argument("--format", choices=("obj", "ply"), default="obj")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, frame],
                        help="residuals of all checked identities; exit 0 iff "
                             "every one passes")
     p.add_argument("--tol", action="append", metavar="VAL|NAME=VAL",
                    help="override one tolerance (NAME=VAL) or all (VAL)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", parents=[common],
-                       help="write a surface mesh or per-node CSV report")
+    p = sub.add_parser("export", parents=[common, frame],
+                       help="write one lambda's surface mesh or per-node "
+                            "CSV report")
     p.add_argument("--format", choices=("obj", "ply", "csv"), default="obj")
     p.add_argument("--curves", action="store_true",
                    help="also write coordinate-curve polylines")
@@ -587,7 +588,7 @@ def build_parser():
                    help="row/column stride for --curves")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, frame],
                        help="evaluate several lambda from one frame build")
     p.add_argument("--mesh", action="store_true",
                    help="also write a mesh per lambda")

@@ -9,12 +9,12 @@ returns: at every grid node it factors G = U_minus^{-1} U_plus into a
 nonnegative times a normalized nonpositive loop through birkhoff_split, a
 Toeplitz solve over a batch of packed loops, called once per block. The
 field keeps the extended frame U_hat = U_plus L_minus as its two factors,
-U_plus per x row and L_minus per node, and never U_hat itself: frame_rows
-evaluates U_hat(lambda) from one evaluation per factor, and the two readers
-of U_hat's coefficients, the build's consistency gate and the shape check,
-assemble them for a block of x rows at a time. extract_connection reads the
-two angle fields off two factor coefficients and cross-checks the result
-against finite differences of U_hat.
+U_plus per x row and L_minus per node, and never U_hat itself. U_hat's
+coefficients are read one way: assembled by _uhat for a block of x rows,
+where the build's consistency and unitarity gates and the shape check read
+them. frame_rows evaluates U_hat(lambda) from one evaluation per factor, for
+Sym. extract_connection reads the two angle fields off two factor
+coefficients and cross-checks the result against finite differences of U_hat.
 
 Every node's work is independent, so both the build and that cross-check
 stream blocks of whole x rows, about BLOCK_NODES nodes each, through the same
@@ -217,11 +217,12 @@ class FrameField:
     -n_trunc..0. Lp is L_plus,0[0, 0], indexed (ix, iy), and Lm the view of
     Lminus on L_minus,-1[0, 1]. split_residual and consistency are per-node
     sup norms of the whole factors; unitarity maps lambda in {1/2, 1, 2} to
-    the packed_unitarity of U_hat(lambda).
+    the packed_unitarity of U_hat(lambda) over the grid. The build computes
+    all of them; the constructor only stores.
     """
 
     def __init__(self, x, y, n_trunc, spec, Uplus, Lminus, Lp, split_residual,
-                 consistency):
+                 consistency, unitarity):
         self.x = x
         self.y = y
         self.n_trunc = n_trunc
@@ -231,8 +232,7 @@ class FrameField:
         self.Lp = Lp
         self.split_residual = split_residual
         self.consistency = consistency
-        self.unitarity = {lam: packed_unitarity(frame_rows(self, lam)[0])
-                          for lam in (0.5, 1.0, 2.0)}
+        self.unitarity = unitarity
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
 
@@ -316,15 +316,17 @@ def _row_blocks(nx, ny):
     return [slice(i, min(i + step, nx)) for i in range(0, nx, step)]
 
 
-def build_frame_field(up, um, consistency_tol=None):
+def build_frame_field(up, um):
     """Glue two half-frame families into the frame field over the grid.
 
     The one-dimensional families are integrated once; the per-node work is the
     Toeplitz solve and a handful of window products on packed loops, run over
     blocks of whole x rows; a family with a non-finite coefficient, or a
     singular Toeplitz system, raises SplitError, the latter naming the node.
-    The unitarity tolerance, and the consistency one unless given, follow the
-    truncation tail of the ladder, which is what those defects consist of.
+    Both gates read U_hat as each block assembles it: consistency against
+    U_minus L_plus, unitarity at lambda in {1/2, 1, 2}. Their tolerances
+    follow the truncation tail of the ladder, which is what those defects
+    consist of.
     """
     if up.axis != "x" or um.axis != "y":
         raise GridError("expected an x-axis family and a y-axis family")
@@ -332,8 +334,7 @@ def build_frame_field(up, um, consistency_tol=None):
         raise GridError("half frames must share the truncation order")
     N = up.n_trunc
     reach = max(np.abs(up.nodes).max(), np.abs(um.nodes).max())
-    if consistency_tol is None:
-        consistency_tol = tail_tolerance(1e-12, N, reach, 1.0)
+    consistency_tol = tail_tolerance(1e-12, N, reach, 1.0)
     # unitarity is probed at lambda in {1/2, 1, 2}
     unitarity_tol = tail_tolerance(1e-9, N, reach, 2.0)
     for fam in (up, um):
@@ -351,6 +352,7 @@ def build_frame_field(up, um, consistency_tol=None):
     Lp = np.empty((nx, ny), complex)
     split_res = np.empty((nx, ny))
     consistency = np.empty((nx, ny))
+    unitarity = {lam: [] for lam in (0.5, 1.0, 2.0)}     # per block
 
     def node_at(i):
         ix, iy = divmod(i, ny)
@@ -368,10 +370,16 @@ def build_frame_field(up, um, consistency_tol=None):
         lp = lp.reshape(-1, ny, N + 1)
         lm = lm.reshape(lp.shape)
         Lminus[rows], Lp[rows] = lm, lp[..., 0]
-        consistency[rows] = np.abs(_uhat(up.coeffs[rows], lm, N) - packed_mul(
+        U = _uhat(up.coeffs[rows], lm, N)
+        consistency[rows] = np.abs(U - packed_mul(
             Um, lp, -N, 0, -N, 2 * N + 1)).max(axis=-1)
+        for lam, sups in unitarity.items():
+            sups.append(packed_unitarity(packed_eval(U, -N, lam)[0]))
+        del U                   # not held through the next block's split
+    # sup_abs keeps a NaN that max() would drop
     field = FrameField(up.nodes, um.nodes, N, up.spec, up.coeffs, Lminus, Lp,
-                       split_res, consistency)
+                       split_res, consistency,
+                       {lam: sup_abs(sups) for lam, sups in unitarity.items()})
     _validate_field(field, consistency_tol, unitarity_tol)
     return field
 
@@ -399,9 +407,11 @@ def _validate_field(field, consistency_tol, unitarity_tol):
 class ConnectionField:
     """Angle and off-diagonal data of the frame's flat connection.
 
-    phihat is the rotating angle field, r its negated x derivative as read off
-    the factors, p = i e^{i phihat} and q = i e^{-i alpha} (per x node) the
-    off-diagonal scalars. These scalars are the two connection matrices:
+    phihat is the rotating angle field, omega = phihat + alpha the angle
+    between the asymptotic lines, r the negated x derivative of phihat as
+    read off the factors, p = i e^{i phihat} and q = i e^{-i alpha} (per x
+    node) the off-diagonal scalars. These scalars are the two connection
+    matrices:
 
         omega1 = [[i r / 2, lambda q / 2], [-lambda conj(q) / 2, -i r / 2]]
         omega2 = -(1 / (2 lambda)) [[0, p], [-conj(p), 0]]
@@ -413,6 +423,7 @@ class ConnectionField:
         self.alpha = alpha
         self.beta = beta
         self.phihat = phihat
+        self.omega = phihat + alpha[:, None]
         self.r = r
         self.p = 1j * np.exp(1j * phihat)
         self.q = 1j * np.exp(-1j * alpha)

@@ -29,7 +29,7 @@ def build_run(spec, n, half=2.0, n_trunc=16, lambdas=(1.0,)):
     seconds = time.perf_counter() - t0
     return SimpleNamespace(
         spec=spec, x=x, y=x, h=2.0 * half / (n - 1), field=field, conn=conn,
-        surfaces=surfaces, omega=conn.phihat + conn.alpha[:, None],
+        surfaces=surfaces, omega=conn.omega,
         build_seconds=seconds)
 
 

@@ -363,6 +363,10 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "must be positive and finite, got inf"),
     (["verify", "--preset", "pseudosphere", "--grid", "9", "--trunc", "65"],
      "truncation degree 65 exceeds maximum degree 64"),
+    (["export", "--preset", "pseudosphere", "--grid", "17",
+      "--lambda", "0.5,1,2"], "give one --lambda value, got 3"),
+    (["export", "--preset", "pseudosphere", "--grid", "17", "--curves",
+      "--stride", "-3"], "--stride must be at least 1, got -3"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -398,6 +402,16 @@ def test_largest_lambda_inside_the_window_evaluates(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "3"), ("--trunc", "4")])
+def test_oracle_rejects_the_frame_flags(tmp_path, capsys, flag, value):
+    # the direct solver builds no frame, so it has no flag to read these
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-sg", "--preset", "pseudosphere", "--grid", "17",
+                  flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_unknown_preset_in_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"preset": "nope", "grid": 9}))
@@ -414,12 +428,23 @@ def test_unknown_preset_in_config_file_exits_2(tmp_path, capsys):
     ({"tolerances": [1]}, "tolerances must map names to numbers, got [1]"),
     ({"potential": {"alpha": 3, "beta": 3}},
      "potential 'alpha' must be an object with 'preset' or 'samples', got 3"),
+    ({"grid": "x"}, "grid must be a number, got 'x'"),
+    ({"out": 3}, "out must be a string, got 3"),
+    ({"interval": [1, 2, 3]}, "interval must hold two numbers, got 3"),
+    ({"interval": [2, -2]}, "domain interval must have positive length"),
+    ({"lambdas": []}, "at least one lambda value is required"),
+    ({"tolerances": {"K+1 residual": 0}}, "must be positive, got 0"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, capsys, config, needle):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    rc = cli.main(["verify", "--config", str(cfg), "--grid", "9",
-                   "--out", str(tmp_path)])
+    argv = ["verify", "--config", str(cfg)]
+    # no flag overrides the key under test
+    if "grid" not in config:
+        argv += ["--grid", "9"]
+    if "out" not in config:
+        argv += ["--out", str(tmp_path)]
+    rc = cli.main(argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("psfront: error: ")
@@ -503,6 +528,15 @@ def test_readme_config_runs_as_written(tmp_path):
     sides = config["potential"]
     assert spec.alpha(1.0) == sides["alpha"]["amplitude"]
     assert spec.beta(1.0) == sides["beta"]["amplitude"]
+
+
+def test_top_level_step_sets_the_preset_lattice(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "c0_kink", "amplitude": 0.5,
+                               "step": 0.001953125}))
+    run = cli.RunConfig.from_args(
+        cli.build_parser().parse_args(["verify", "--config", str(cfg)]))
+    assert run.potential_spec().step == 1 / 512
 
 
 def test_config_file_with_flag_override(tmp_path):

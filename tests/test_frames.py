@@ -254,10 +254,35 @@ def test_family_mismatch_rejected():
 def test_validation_tolerance_can_force_failure():
     spec = pf.preset_pseudosphere()
     x = np.linspace(-2, 2, 9)
-    up = pf.integrate_half_frame(spec, "x", x)
-    um = pf.integrate_half_frame(spec, "y", x)
-    with pytest.raises(SplitError):
-        pf.build_frame_field(up, um, consistency_tol=1e-30)
+    field = pf.build_frame_field(pf.integrate_half_frame(spec, "x", x),
+                                 pf.integrate_half_frame(spec, "y", x))
+    with pytest.raises(SplitError, match="consistency"):
+        frames._validate_field(field, 1e-30, 1e-8)
+
+
+def test_origin_gate_rejects_a_unitary_non_identity():
+    # a constant unitary phase on U_plus at the origin passes the
+    # consistency and unitarity gates, so only the origin gate can see it
+    spec = pf.preset_c0_kink(0.5)
+    x = np.linspace(-2, 2, 33)
+    up = pf.integrate_half_frame(spec, "x", x, n_trunc=12)
+    um = pf.integrate_half_frame(spec, "y", x, n_trunc=12)
+    up.coeffs[16] = 0.0
+    up.coeffs[16, 0] = np.exp(0.3j)
+    with pytest.raises(SplitError,
+                       match="frame at the origin is not the identity"):
+        pf.build_frame_field(up, um)
+
+
+def test_build_reads_u_hat_only_through_its_blocks(monkeypatch):
+    # the gates read each block's assembled U_hat; frame_rows serves Sym
+    def refuse(*args):
+        raise AssertionError("the build evaluated the frame field")
+
+    monkeypatch.setattr(frames, "frame_rows", refuse)
+    monkeypatch.setattr(frames, "_row_product", refuse)
+    field = pf.build_frame_field(*small_families())
+    assert set(field.unitarity) == {0.5, 1.0, 2.0}
 
 
 def small_families(n=17, n_trunc=16):
@@ -391,16 +416,32 @@ def test_block_size_does_not_change_a_bit(monkeypatch, block):
     assert conn_b.shape_report == conn.shape_report
 
 
-@pytest.mark.parametrize("n", [65, 129])
+def build_peak_above_held(n):
+    """Traced peak bytes of a build above what it holds on return."""
+    up, um = small_families(n)
+    tracemalloc.start()
+    try:
+        field = pf.build_frame_field(up, um)   # held, as a caller holds it
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
 def test_build_and_extraction_memory_is_bounded(n):
     # peak traced bytes above what the call still holds on return: the
     # per-node work runs in blocks, so no whole-grid temporary is made
+    reference = build_peak_above_held(129) if n == 257 else None
     up, um = small_families(n)
     tracemalloc.start()
     try:
         field = pf.build_frame_field(up, um)
         held, peak = tracemalloc.get_traced_memory()
         assert peak - held <= 16 * 2 ** 20
+        if reference is not None:
+            # every gate reads a block: the peak does not grow with the grid
+            assert peak - held <= reference + 2 ** 20
         # the field holds the two factors plus one complex and two float
         # (nx, ny) fields, and no (nx, ny, 2N+1) array such as U_hat
         assert held <= (field.Uplus.nbytes + field.Lminus.nbytes
