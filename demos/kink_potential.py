@@ -32,8 +32,8 @@ print(f"kink amplitude {amp}: boundary slope {left:+.3f} -> {right:+.3f}"
 fine = np.linspace(-2.0, 2.0, 1025)
 sol = pf.goursat_solve(spec.alpha, spec.beta, fine, fine)
 gap = np.abs(sol.phi[::16, ::16] - omega).max()
-print(f"direct integration: {sol.iterations} sweeps,"
-      f" last update {sol.final_delta:.1e}")
+print(f"direct integration: at most {sol.iterations} fixed-point updates"
+      f" per cell, last update {sol.final_delta:.1e}")
 print(f"angle field gap between the two routes: {gap:.3e}")
 
 S = pf.sym_immersion(field, 1.0, conn=conn)

@@ -3,9 +3,10 @@
 Subcommands: generate (run the pipeline and write meshes), verify (residuals
 of every checked identity against tolerances, JSON summary, exit 0 iff all
 pass), export (OBJ, PLY or CSV of one lambda, plus coordinate-curve
-polylines and frame glyphs), sweep (several evaluation points from one
-frame build; a frame less unitary than verify's tolerance gets a warning)
-and oracle-sg (the direct sine-Gordon solver on preset boundary data).
+polylines every --curves STRIDE rows and columns, and frame glyphs), sweep
+(several evaluation points from one frame build; a frame less unitary than
+verify's tolerance gets a warning) and oracle-sg (the characteristic march
+of oracles.goursat_solve on preset boundary data; it has no tolerance).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
@@ -445,8 +446,8 @@ def cmd_export(args):
     if len(cfg.lambdas) != 1:
         raise ConfigError(f"export writes one surface: give one --lambda "
                           f"value, got {len(cfg.lambdas)}")
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
+    if args.curves is not None and args.curves < 1:
+        raise ConfigError(f"--curves must be at least 1, got {args.curves}")
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     lam = cfg.lambdas[0]
@@ -470,9 +471,9 @@ def cmd_export(args):
                  conn.omega.ravel()]
         write_csv(path, header, cols)
     written.append(path)
-    if args.curves:
+    if args.curves is not None:
         path = os.path.join(cfg.out, stem + "_curves.obj")
-        write_obj(path, S.f, curves_stride=args.stride)
+        write_obj(path, S.f, curves_stride=args.curves)
         written.append(path)
     if args.glyphs:
         path = os.path.join(cfg.out, stem + "_glyphs.csv")
@@ -522,9 +523,7 @@ def cmd_oracle_sg(args):
     spec = cfg.potential_spec()
     n = cfg.grid
     x = np.linspace(cfg.interval[0], cfg.interval[1], n)
-    y = np.linspace(cfg.interval[0], cfg.interval[1], n)
-    sol = oracles.goursat_solve(spec.alpha, spec.beta, x, y,
-                                tol=args.sg_tol, max_iter=args.max_iter)
+    sol = oracles.goursat_solve(spec.alpha, spec.beta, x, x)
     out = {"preset": cfg.name, "grid": n, "iterations": sol.iterations,
            "final delta": sol.final_delta, "contraction": sol.contraction,
            "sup |phi|": float(np.abs(sol.phi).max())}
@@ -532,7 +531,7 @@ def cmd_oracle_sg(args):
     if args.out_csv:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, f"goursat_{cfg.name}_n{n}.csv")
-        X, Y = np.meshgrid(x, y, indexing="ij")
+        X, Y = np.meshgrid(x, x, indexing="ij")
         write_csv(path, ["x", "y", "phi"],
                   [X.ravel(), Y.ravel(), sol.phi.ravel()])
         print(f"wrote {path}")
@@ -580,12 +579,10 @@ def build_parser():
                        help="write one lambda's surface mesh or per-node "
                             "CSV report")
     p.add_argument("--format", choices=("obj", "ply", "csv"), default="obj")
-    p.add_argument("--curves", action="store_true",
-                   help="also write coordinate-curve polylines")
+    p.add_argument("--curves", type=int, nargs="?", const=16, metavar="STRIDE",
+                   help="also write every STRIDE-th coordinate curve (16)")
     p.add_argument("--glyphs", action="store_true",
                    help="also write the orthonormal frame along y = 0")
-    p.add_argument("--stride", type=int, default=16,
-                   help="row/column stride for --curves")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("sweep", parents=[common, frame],
@@ -596,9 +593,6 @@ def build_parser():
 
     p = sub.add_parser("oracle-sg", parents=[common],
                        help="direct sine-Gordon solve on preset boundary data")
-    p.add_argument("--sg-tol", type=float, default=1e-12,
-                   help="Picard convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=60)
     p.add_argument("--out-csv", action="store_true",
                    help="write the angle field as per-node CSV")
     p.set_defaults(func=cmd_oracle_sg)

@@ -1,26 +1,26 @@
 """Independent reference solutions used to cross-check the main pipeline.
 
-Neither routine here touches loops, factorization or the reconstruction
-formula. goursat_solve integrates the sine-Gordon equation directly from its
-characteristic boundary values by Picard iteration; pseudosphere_closed_form
-evaluates the classical tractrix surface of revolution in closed form. Both
-give targets the pipeline output can be compared against.
+The module imports numpy only and touches no loops, factorization or Sym:
+goursat_solve marches the sine-Gordon equation cell by cell from its
+characteristic data; pseudosphere_closed_form is the tractrix surface.
 """
 
 import numpy as np
 
+STEP_TOL = 1e-15    # a cell stops once its update is <= STEP_TOL (1 + |w|)
+MAX_STEPS = 50      # fixed-point updates a cell may take before failing
+
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration failed to reach the requested tolerance."""
+    """A cell of the Goursat march did not settle on a finite value."""
 
 
 class GoursatSolution:
     """Solution of w_xy = sin w with w(x,0) = alpha(x), w(0,y) = beta(y).
 
-    phi holds w on the grid; phi_check is w - alpha - beta, the part produced
-    by the double integral, which vanishes on both axes. contraction is the
-    last ratio of successive update sizes (about |x_max * y_max| / 2 per the
-    fixed-point estimate, well below 1 on the domains used here).
+    phi holds w; phi_check = phi - alpha - beta vanishes on both axes. Over
+    all cells, iterations is the largest fixed-point update count, final_delta
+    the largest last update and contraction the largest |dx dy| / 4.
     """
 
     def __init__(self, phi, alpha_row, beta_col, iterations, contraction,
@@ -32,59 +32,64 @@ class GoursatSolution:
         self.final_delta = final_delta
 
 
-def cumtrapz_from_origin(F, coord, axis):
-    """Trapezoid antiderivative along one axis, zero at the node nearest 0.
+def goursat_solve(alpha, beta, x, y):
+    """Solve w_xy = sin w with the given characteristic values by marching.
 
-    Works on non-uniform grids and anchors at the origin node so integrals
-    from negative coordinates carry the correct sign. Kept apart from
-    analysis.cumtrapz_origin on purpose: it is the independent reference.
+    alpha and beta are callables or samples on x and y, which need a node
+    at 0. Each cell meets w11 - w10 - w01 + w00 = k (sin w00 + sin w10 +
+    sin w01 + sin w11), k = dx dy / 4 on signed steps: the quadrants fill
+    outward from the origin one anti-diagonal at a time, each new w11 the
+    fixed point of c + k sin w11, with error second order in the spacing.
+    ConvergenceError names a cell unsettled or NaN after MAX_STEPS updates.
     """
-    F = np.asarray(F, float)
-    coord = np.asarray(coord, float)
-    F = np.moveaxis(F, axis, 0)
-    dx = np.diff(coord)
-    seg = 0.5 * (F[1:] + F[:-1]) * dx.reshape((-1,) + (1,) * (F.ndim - 1))
-    out = np.zeros_like(F)
-    np.cumsum(seg, axis=0, out=out[1:])
-    i0 = int(np.argmin(np.abs(coord)))
-    out = out - out[i0]
-    return np.moveaxis(out, 0, axis)
-
-
-def goursat_solve(alpha, beta, x, y, tol=1e-12, max_iter=60):
-    """Solve w_xy = sin w with the given characteristic values by iteration.
-
-    alpha and beta may be callables or sample arrays matching x and y. Each
-    sweep substitutes the current iterate into the double integral
-    w = alpha + beta + int int sin w; the iteration is a contraction on the
-    rectangles used here and the error settles at the quadrature level,
-    second order in the grid spacing. max_iter must be at least 1.
-    """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    x, y = np.asarray(x, float), np.asarray(y, float)
     alpha_row = np.asarray(alpha(x) if callable(alpha) else alpha, float)
     beta_col = np.asarray(beta(y) if callable(beta) else beta, float)
     if alpha_row.shape != x.shape or beta_col.shape != y.shape:
         raise ValueError("boundary samples must match the grid axes")
+    i0, j0 = (int(np.argmin(np.abs(t))) for t in (x, y))
+    for axis, t in (("x", x[i0]), ("y", y[j0])):
+        if not abs(t) <= 1e-12:
+            raise ValueError(f"{axis} has no node at 0 to anchor the data")
     phi = alpha_row[:, None] + beta_col[None, :]
-    prev_delta = None
-    contraction = 0.0
-    for it in range(1, max_iter + 1):
-        inner = cumtrapz_from_origin(np.sin(phi), y, axis=1)
-        new = (alpha_row[:, None] + beta_col[None, :]
-               + cumtrapz_from_origin(inner, x, axis=0))
-        delta = float(np.abs(new - phi).max())
-        phi = new
-        if prev_delta is not None and prev_delta > 0:
-            contraction = delta / prev_delta
-        prev_delta = delta
-        if delta < tol:
-            return GoursatSolution(phi, alpha_row, beta_col, it, contraction,
-                                   delta)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} sweeps (last delta {prev_delta:.2e})")
+    stats = [_march(phi, x, y, i0, j0, sx, sy)   # (largest count, update)
+             for sx in (1, -1) for sy in (1, -1)]
+    iterations, final_delta = (max(s) for s in zip(*stats))
+    hx, hy = (float(np.abs(np.diff(t)).max(initial=0.0)) for t in (x, y))
+    return GoursatSolution(phi, alpha_row, beta_col, iterations,
+                           0.25 * hx * hy, final_delta)
+
+
+@np.errstate(invalid="ignore")          # a NaN cell raises below
+def _march(phi, x, y, i0, j0, sx, sy):
+    """Fill phi's quadrant w[p, q] = phi[i0 + sx p, j0 + sy q] in place."""
+    w = phi[i0::sx, j0::sy]
+    hx, hy = np.diff(x[i0::sx]), np.diff(y[j0::sy])
+    m, n = w.shape
+    steps, last = 0, 0.0
+    for d in range(2, m + n - 1 if min(m, n) > 1 else 2):   # d = p + q
+        p = np.arange(max(1, d - n + 1), min(m - 1, d - 1) + 1)
+        q = d - p
+        k = 0.25 * hx[p - 1] * hy[q - 1]
+        w00, w10, w01 = w[p - 1, q - 1], w[p, q - 1], w[p - 1, q]
+        new = w10 + w01 - w00
+        c = new + k * (np.sin(w00) + np.sin(w10) + np.sin(w01))
+        for it in range(1, MAX_STEPS + 1):
+            prev, new = new, c + k * np.sin(new)
+            delta = np.abs(new - prev)
+            settled = delta <= STEP_TOL * (1.0 + np.abs(new))
+            if settled.all():
+                break
+        else:
+            b = int(np.argmin(settled))
+            ix, iy = i0 + sx * int(p[b]), j0 + sy * int(q[b])
+            raise ConvergenceError(
+                f"Goursat cell (ix, iy) = ({ix}, {iy}) at (x, y) = "
+                f"({x[ix]:.6g}, {y[iy]:.6g}): w = {new[b]:.6g} after "
+                f"{MAX_STEPS} updates, last {delta[b]:.2e} (k = {k[b]:.3g})")
+        w[p, q] = new
+        steps, last = max(steps, it), max(last, float(delta.max()))
+    return steps, last
 
 
 # ---------------------------------------------------------------------------

@@ -208,13 +208,25 @@ def test_export_frame_glyphs_are_orthonormal(tmp_path):
 
 
 def test_export_coordinate_curves(tmp_path):
-    rc = cli.main(["export", "--preset", "pseudosphere", "--grid", "17",
-                   "--curves", "--stride", "8", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = read_lines(tmp_path / "pseudosphere_lam1_n17_curves.obj")
-    polys = [l for l in lines if l.startswith("l ")]
-    assert len(polys) == 6
-    assert all(len(p.split()) == 18 for p in polys)
+    # rows and columns 0, 8, 16 at stride 8; 0 and 16 at the default 16
+    for stride, count in ((["8"], 6), ([], 4)):
+        out = tmp_path / f"n{count}"
+        rc = cli.main(["export", "--preset", "pseudosphere", "--grid", "17",
+                       "--curves", *stride, "--out", str(out)])
+        assert rc == 0
+        lines = read_lines(out / "pseudosphere_lam1_n17_curves.obj")
+        polys = [l for l in lines if l.startswith("l ")]
+        assert len(polys) == count
+        assert all(len(p.split()) == 18 for p in polys)
+
+
+def test_export_has_no_stride_flag(tmp_path, capsys):
+    # the stride is --curves' own value, so it cannot be given without it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", "--preset", "pseudosphere", "--grid", "17",
+                  "--stride", "4", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stride 4" in capsys.readouterr().err
 
 
 def test_ply_writer_round_trip(tmp_path):
@@ -336,6 +348,7 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
     assert report["grid"] == 33
     assert report["final delta"] < 1e-12
     assert report["iterations"] <= 20
+    assert report["contraction"] == pytest.approx(0.25 * 0.125 ** 2)
     lines = read_lines(tmp_path / "goursat_pseudosphere_n33.csv")
     assert lines[0] == "x,y,phi"
     assert len(lines) == 33 * 33 + 1
@@ -354,8 +367,8 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "requires --amplitude"),
     (["verify", "--preset", "pseudosphere", "--grid", "9",
       "--tol", "bogus=1"], "unknown tolerance name"),
-    (["oracle-sg", "--preset", "pseudosphere", "--grid", "17",
-      "--max-iter", "0"], "max_iter must be at least 1"),
+    (["oracle-sg", "--preset", "pseudosphere", "--grid", "64"],
+     "x has no node at 0"),
     (["sweep", "--preset", "vacuum", "--grid", "9", "--mesh",
       "--lambda", "1.00001,1.000012"],
      "lambda values 1.00001 and 1.000012 share the file label '1.00001'"),
@@ -366,7 +379,9 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
     (["export", "--preset", "pseudosphere", "--grid", "17",
       "--lambda", "0.5,1,2"], "give one --lambda value, got 3"),
     (["export", "--preset", "pseudosphere", "--grid", "17", "--curves",
-      "--stride", "-3"], "--stride must be at least 1, got -3"),
+      "-3"], "--curves must be at least 1, got -3"),
+    (["export", "--preset", "pseudosphere", "--grid", "17", "--curves",
+      "0"], "--curves must be at least 1, got 0"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     rc = cli.main(argv + ["--out", str(tmp_path)])
@@ -402,9 +417,12 @@ def test_largest_lambda_inside_the_window_evaluates(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("flag, value", [("--lambda", "3"), ("--trunc", "4")])
+@pytest.mark.parametrize("flag, value", [("--lambda", "3"), ("--trunc", "4"),
+                                         ("--sg-tol", "1e-12"),
+                                         ("--max-iter", "60")])
 def test_oracle_rejects_the_frame_flags(tmp_path, capsys, flag, value):
-    # the direct solver builds no frame, so it has no flag to read these
+    # the direct solver builds no frame, so it has no flag to read the
+    # frame's flags, and its march has no tolerance or sweep cap to set
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle-sg", "--preset", "pseudosphere", "--grid", "17",
                   flag, value, "--out", str(tmp_path)])

@@ -1,10 +1,15 @@
 """Reference routes: direct sine-Gordon integration, closed-form surface."""
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import psfront as pf
-from psfront.oracles import cumtrapz_from_origin
+from psfront import oracles
+from psfront.analysis import cumtrapz_origin
 
 
 def boundary(t):
@@ -51,25 +56,76 @@ def test_goursat_zero_data_is_exact():
 
 
 def test_goursat_solution_is_a_fixed_point():
+    # the march lands on the fixed point of the product-trapezoid integral
     x = np.linspace(-2.0, 2.0, 129)
+    h, i0 = x[1] - x[0], 64
     sol = pf.goursat_solve(boundary, boundary, x, x)
-    inner = cumtrapz_from_origin(np.sin(sol.phi), x, axis=1)
+    inner = cumtrapz_origin(np.sin(sol.phi).T, h, i0).T
     recon = (boundary(x)[:, None] + boundary(x)[None, :]
-             + cumtrapz_from_origin(inner, x, axis=0))
+             + cumtrapz_origin(inner, h, i0))
     assert np.abs(recon - sol.phi).max() < 1e-12
 
 
+def test_goursat_cell_identity_on_nonuniform_grid():
+    # uneven steps on both sides of the origin, unequal node counts
+    rng = np.random.default_rng(11)
+    x = np.sort(np.append(rng.uniform(-1.5, 1.2, 22), 0.0))
+    y = np.sort(np.append(rng.uniform(-0.7, 1.9, 13), 0.0))
+    sol = pf.goursat_solve(boundary, np.cos, x, y)
+    w, s = sol.phi, np.sin(sol.phi)
+    k = 0.25 * np.diff(x)[:, None] * np.diff(y)[None, :]
+    lhs = w[1:, 1:] - w[1:, :-1] - w[:-1, 1:] + w[:-1, :-1]
+    rhs = k * (s[1:, 1:] + s[1:, :-1] + s[:-1, 1:] + s[:-1, :-1])
+    assert sol.phi.shape == (23, 14)
+    assert np.abs(lhs - rhs).max() < 1e-14
+    i0, j0 = int(np.flatnonzero(x == 0)[0]), int(np.flatnonzero(y == 0)[0])
+    assert np.array_equal(sol.phi[i0], boundary(x)[i0] + np.cos(y))
+    assert np.array_equal(sol.phi[:, j0], boundary(x) + np.cos(y)[j0])
+    assert sol.contraction == 0.25 * np.diff(x).max() * np.diff(y).max()
+
+
 def test_goursat_reports_no_convergence():
-    x = np.linspace(-2.0, 2.0, 65)
+    # steps of 3 give k = 9/4, where the cell map is no contraction
+    x = np.linspace(-3.0, 3.0, 3)
     with pytest.raises(pf.ConvergenceError,
-                       match="no convergence after 2 sweeps"):
-        pf.goursat_solve(boundary, boundary, x, x, max_iter=2)
+                       match=r"cell \(ix, iy\) = \(2, 2\) at \(x, y\) = "
+                             r"\(3, 3\): .* after 50 updates"):
+        pf.goursat_solve(boundary, boundary, x, x)
 
 
-def test_goursat_rejects_zero_sweeps():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_goursat_names_the_cell_a_bad_sample_reaches(bad):
+    # the first cell marched from alpha's sample at x = 0.75 is (8 + 3, 8 + 1)
     x = np.linspace(-2.0, 2.0, 17)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        pf.goursat_solve(boundary, boundary, x, x, max_iter=0)
+    a = boundary(x)
+    a[11] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pf.ConvergenceError) as exc:
+            pf.goursat_solve(a, boundary, x, x)
+    assert "cell (ix, iy) = (11, 9) at (x, y) = (0.75, 0.25)" in str(exc.value)
+    assert "w = nan" in str(exc.value)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_goursat_rejects_an_axis_without_origin_node(axis):
+    # the data sit on the lines x = 0 and y = 0, which need grid nodes
+    grids = {"x": np.linspace(-2.0, 2.0, 65), "y": np.linspace(-2.0, 2.0, 65)}
+    grids[axis] = np.linspace(-2.0, 2.0, 64)
+    with pytest.raises(ValueError, match=f"{axis} has no node at 0"):
+        pf.goursat_solve(boundary, boundary, grids["x"], grids["y"])
+
+
+def test_oracles_import_numpy_only():
+    # the arbiters share no code with the pipeline they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    assert names == ["numpy"]
 
 
 def test_goursat_callable_and_array_inputs_agree():
@@ -85,24 +141,6 @@ def test_goursat_rejects_mismatched_samples():
     x = np.linspace(-2.0, 2.0, 33)
     with pytest.raises(ValueError, match="match the grid"):
         pf.goursat_solve(np.zeros(5), np.zeros(33), x, x)
-
-
-# -- trapezoid antiderivative ------------------------------------------------
-
-def test_cumtrapz_exact_on_linear_nonuniform():
-    coord = np.array([-1.0, -0.4, -0.1, 0.0, 0.35, 0.8, 1.7])
-    out = cumtrapz_from_origin(3.0 * coord + 1.0, coord, axis=0)
-    assert np.abs(out - (1.5 * coord ** 2 + coord)).max() < 1e-14
-
-
-def test_cumtrapz_axis_handling():
-    rng = np.random.default_rng(7)
-    coord = np.linspace(-1.0, 1.0, 9)
-    F = rng.normal(size=(4, 9))
-    out = cumtrapz_from_origin(F, coord, axis=1)
-    rows = np.stack([cumtrapz_from_origin(F[i], coord, axis=0)
-                     for i in range(4)])
-    assert np.abs(out - rows).max() < 1e-15
 
 
 # -- closed-form surface -----------------------------------------------------
