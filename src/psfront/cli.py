@@ -13,8 +13,10 @@ produce byte-identical files; the writers format one grid row per "%" and
 build the quad face block once per grid shape. generate and sweep format two
 or more meshes in up to two worker processes while the next lambda is
 computed, and print the "wrote" lines in lambda order; a single mesh is
-written in process. Heavy imports happen after the thread override so
-PSFRONT_THREADS can cap the BLAS pool.
+written in process. Each per-lambda loop of generate, sweep and verify holds
+one surface: a lambda's SurfaceGrid and forms are released once its row and
+mesh job are handed over, before the next lambda's Sym runs. Heavy imports
+happen after the thread override so PSFRONT_THREADS can cap the BLAS pool.
 """
 
 import argparse
@@ -395,6 +397,7 @@ def cmd_generate(args):
             stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
             yield (write_ply if args.format == "ply" else write_obj,
                    os.path.join(cfg.out, stem + "." + args.format), S.f)
+            del S, rep      # the job keeps S.f; free the rest before the next
 
     _write_meshes(meshes(), len(cfg.lambdas))
     return 0
@@ -507,6 +510,7 @@ def cmd_sweep(args):
             if args.mesh:
                 yield (write_obj, os.path.join(
                     cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), S.f)
+            del S, rep      # the job keeps S.f; free the rest before the next
 
     _write_meshes(meshes(), len(cfg.lambdas) if args.mesh else 0)
     header = ["lambda", *SWEEP_COLUMNS, "regular_nodes"]

@@ -12,11 +12,13 @@ field keeps the extended frame U_hat = U_plus L_minus as its two factors,
 U_plus per x row and L_minus per node, and never U_hat itself. U_hat's
 coefficients are read one way: assembled by _uhat for a block of x rows,
 where the build's consistency and unitarity gates and the shape check read
-them. frame_rows evaluates U_hat(lambda) from one evaluation per factor, for
-Sym. extract_connection reads the two angle fields off two factor
-coefficients and cross-checks the result against finite differences of U_hat.
+them. U_hat(lambda) is evaluated one way, for Sym: frame_row_blocks gives its
+first rows block by block from one evaluation of U_plus per lambda and one
+of L_minus per block. extract_connection reads the two angle fields off two
+factor coefficients and cross-checks the result against finite differences
+of U_hat.
 
-Every node's work is independent, so both the build and that cross-check
+Every node's work is independent, so the build, that cross-check and Sym
 stream blocks of whole x rows, about BLOCK_NODES nodes each, through the same
 per-node arithmetic: their temporaries stay the size of a block whatever the
 grid, and the results do not depend on the block size in any bit.
@@ -39,8 +41,8 @@ from .loops import (DEFAULT_TRUNC, MAX_DEGREE, TruncationOverflowError,
 from .potentials import eta_minus, eta_plus
 
 
-# nodes per block of the per-node work; bounds the build's and the shape
-# check's temporaries independently of the grid size
+# nodes per block of the per-node work; bounds the temporaries of the build,
+# the shape check and Sym independently of the grid size
 BLOCK_NODES = 1024
 
 
@@ -252,26 +254,6 @@ class FrameField:
                 f"split={self.split_residual.max():.2e})")
 
 
-def _row_product(p, q):
-    """First row of the product of [[a, b], [-conj(b), conj(a)]] matrices
-    with first rows p and q, each (..., 2)."""
-    a, b, c, d = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
-    return np.stack([a * c - b * d.conj(), a * d + b * c.conj()], -1)
-
-
-def frame_rows(field, lam):
-    """First rows (a, b) of U_hat(lam) and (a_t, b_t) of its t-derivative
-    along lambda = e^t at a real lam, (nx, ny, 2) each.
-
-    One packed_eval per factor: at a real lam each factor is a real-form
-    matrix, so U_hat's first row is the closed-form product of theirs, and
-    its t-derivative follows by the product rule.
-    """
-    p, p_t = (r[:, None] for r in packed_eval(field.Uplus, 0, lam))
-    q, q_t = packed_eval(field.Lminus, -field.n_trunc, lam)
-    return _row_product(p, q), _row_product(p_t, q) + _row_product(p, q_t)
-
-
 def _uhat(up, lm, N):
     """U_hat = U_plus L_minus on degrees -N..N for a block of x rows.
 
@@ -314,6 +296,27 @@ def _row_blocks(nx, ny):
     """Slices of whole x rows, about BLOCK_NODES nodes each (one row at least)."""
     step = max(1, BLOCK_NODES // ny)
     return [slice(i, min(i + step, nx)) for i in range(0, nx, step)]
+
+
+def frame_row_blocks(field, lam):
+    """First rows (a, b) of U_hat(lam) and (a_t, b_t) of its t-derivative
+    along lambda = e^t at a real lam, one block of whole x rows at a time.
+
+    Yields (rows, a, b, a_t, b_t), each of the four (rows, ny). U_plus is
+    evaluated once per call and L_minus once per block, by packed_eval: at a
+    real lam each factor is a real-form matrix, so U_hat's first row is the
+    closed-form product of theirs, and its t-derivative follows by the
+    product rule.
+    """
+    p, p_t = packed_eval(field.Uplus, 0, lam)
+    for rows in _row_blocks(*field.Lminus.shape[:2]):
+        q, q_t = packed_eval(field.Lminus[rows], -field.n_trunc, lam)
+        pa, pb, pa_t, pb_t = (v[rows, None] for v in (*p.T, *p_t.T))
+        qa, qb, qa_t, qb_t = q[..., 0], q[..., 1], q_t[..., 0], q_t[..., 1]
+        cqa, cqb = qa.conj(), qb.conj()
+        yield (rows, pa * qa - pb * cqb, pa * qb + pb * cqa,
+               (pa_t * qa - pb_t * cqb) + (pa * qa_t - pb * qb_t.conj()),
+               (pa_t * qb + pb_t * cqa) + (pa * qb_t + pb * qa_t.conj()))
 
 
 def build_frame_field(up, um):

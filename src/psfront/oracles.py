@@ -18,18 +18,25 @@ class ConvergenceError(RuntimeError):
 class GoursatSolution:
     """Solution of w_xy = sin w with w(x,0) = alpha(x), w(0,y) = beta(y).
 
-    phi holds w; phi_check = phi - alpha - beta vanishes on both axes. Over
+    phi holds w, and alpha and beta its samples on the x and y nodes. Over
     all cells, iterations is the largest fixed-point update count, final_delta
     the largest last update and contraction the largest |dx dy| / 4.
     """
 
-    def __init__(self, phi, alpha_row, beta_col, iterations, contraction,
+    def __init__(self, phi, alpha, beta, iterations, contraction,
                  final_delta):
         self.phi = phi
-        self.phi_check = phi - alpha_row[:, None] - beta_col[None, :]
+        self.alpha = alpha
+        self.beta = beta
         self.iterations = iterations
         self.contraction = contraction
         self.final_delta = final_delta
+
+    @property
+    def phi_check(self):
+        """phi - alpha - beta, which vanishes on both axes; computed on each
+        access, so a solution holds one grid array."""
+        return self.phi - self.alpha[:, None] - self.beta[None, :]
 
 
 def goursat_solve(alpha, beta, x, y):

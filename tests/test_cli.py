@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -720,6 +721,27 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
     assert err.splitlines()[-1] == "psfront: error: Sym failed"
     assert not list(tmp_path.glob("*.csv"))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mesh"], ["generate"], ["verify", "--tol", "1"]])
+def test_one_surface_alive_per_lambda(tmp_path, monkeypatch, argv):
+    # a lambda's surface and forms are released before the next is computed
+    surface = cli._surface
+    made = []
+
+    def tracked(field, conn, lam):
+        alive = [k for k, ref in enumerate(made) if ref() is not None]
+        assert not alive, f"surfaces {alive} alive at lambda={lam:g}"
+        S = surface(field, conn, lam)
+        made.append(weakref.ref(S))
+        return S
+
+    monkeypatch.setattr(cli, "_surface", tracked)
+    assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "17",
+                            "--lambda", "0.5,1,2",
+                            "--out", str(tmp_path)]) == 0
+    assert len(made) == 3
 
 
 # -- the pipeline's loop kernels ---------------------------------------------

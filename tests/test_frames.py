@@ -275,12 +275,12 @@ def test_origin_gate_rejects_a_unitary_non_identity():
 
 
 def test_build_reads_u_hat_only_through_its_blocks(monkeypatch):
-    # the gates read each block's assembled U_hat; frame_rows serves Sym
+    # the gates read each block's assembled U_hat; frame_row_blocks serves
+    # Sym
     def refuse(*args):
         raise AssertionError("the build evaluated the frame field")
 
-    monkeypatch.setattr(frames, "frame_rows", refuse)
-    monkeypatch.setattr(frames, "_row_product", refuse)
+    monkeypatch.setattr(frames, "frame_row_blocks", refuse)
     field = pf.build_frame_field(*small_families())
     assert set(field.unitarity) == {0.5, 1.0, 2.0}
 
@@ -385,7 +385,11 @@ def test_factor_evaluation_matches_the_assembled_frame(preset, amplitude,
         pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
     Uhat = field.Uhat
     for lam in (0.5, 1.0, 1.3, 2.0):
-        got = frames.frame_rows(field, lam)
+        blocks = list(frames.frame_row_blocks(field, lam))
+        assert [r for r, *_ in blocks] == frames._row_blocks(129, 129)
+        # a, b, a_t, b_t over the grid, as (nx, ny, 2) rows and t-rows
+        a, b, a_t, b_t = (np.concatenate(v) for v in list(zip(*blocks))[1:])
+        got = np.stack([a, b], -1), np.stack([a_t, b_t], -1)
         want = loops.packed_eval(Uhat, -n_trunc, lam)
         for g, w in zip(got, want):
             assert g.shape == (129, 129, 2)

@@ -1,6 +1,7 @@
 """Reference routes: direct sine-Gordon integration, closed-form surface."""
 
 import ast
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,6 +38,20 @@ def test_goursat_second_order_against_closed_form():
         assert sol.final_delta < 1e-12
     assert errs[0] < 2e-3
     assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+def test_goursat_solution_holds_one_grid_array():
+    # phi_check is computed from phi, alpha and beta on access
+    x = np.linspace(-2.0, 2.0, 513)
+    tracemalloc.start()
+    try:
+        sol = pf.goursat_solve(boundary, boundary, x, x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.phi.nbytes <= held <= sol.phi.nbytes + 64 * 2 ** 10
+    assert np.array_equal(sol.phi_check,
+                          sol.phi - boundary(x)[:, None] - boundary(x))
 
 
 def test_goursat_fine_grid_accuracy():

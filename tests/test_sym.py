@@ -1,6 +1,7 @@
 """Immersion and normal from the frame family, su(2) conversions, tangents."""
 
 import copy
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,17 +114,18 @@ def test_vacuum_tangent_is_constant(vacuum_run):
 
 def test_surface_grid_rejects_nan_normal(ps_run):
     S = ps_run.surfaces[1.0]
-    N = S.N.copy()
-    N[3, 4] = np.nan
-    with pytest.raises(StructureError, match="normal field norm"):
-        sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
+    for node in ((3, 4), (100, 4)):           # row blocks 0 and 14
+        N = S.N.copy()
+        N[node] = np.nan
+        with pytest.raises(StructureError, match="normal field norm"):
+            sym.SurfaceGrid(S.x, S.y, 1.0, S.f, N)
 
 
-def nan_frame_node(run):
-    """The run's field with L_minus's degree 0 NaN at node (6, 5)."""
+def nan_frame_node(run, node=(6, 5)):
+    """The run's field with L_minus's degree 0 NaN at node."""
     field = copy.copy(run.field)
     field.Lminus = run.field.Lminus.copy()
-    field.Lminus[6, 5, field.n_trunc] = np.nan
+    field.Lminus[node + (field.n_trunc,)] = np.nan
     return field
 
 
@@ -137,10 +139,15 @@ def perturbed_frame(run):
 
 
 def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
+    # in the first block of rows and in block 14: a max() over the blocks
+    # would drop the second
+    for node in ((6, 5), (100, 5)):
+        for conn in (None, ps_run.conn):
+            with pytest.raises(StructureError,
+                               match=r"not su\(2\): defect nan"):
+                pf.sym_immersion(nan_frame_node(ps_run, node), 1.0,
+                                 conn=conn)
     field = nan_frame_node(ps_run)
-    for conn in (None, ps_run.conn):
-        with pytest.raises(StructureError, match=r"not su\(2\): defect nan"):
-            pf.sym_immersion(field, 1.0, conn=conn)
     # no tolerance lets a NaN through the gate
     set_structure_tol(monkeypatch, np.inf)
     with pytest.raises(StructureError, match=r"defect nan > inf"):
@@ -195,17 +202,68 @@ def reference_fields(field, conn, lam):
 
 
 def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
+    # U_plus is evaluated once per lambda and L_minus once per block of
+    # whole x rows (7 of the 129 rows in 1024 nodes); the blocks cover the
+    # grid once
+    field = ps_run.field
     calls = []
-    orig = sym.frame_rows
+    orig = frames.packed_eval
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return orig(*args, **kwargs)
+    def counting(p, kmin, lam):
+        calls.append((p.shape, lam))
+        return orig(p, kmin, lam)
 
-    monkeypatch.setattr(sym, "frame_rows", counting)
+    monkeypatch.setattr(frames, "packed_eval", counting)
     for lam in (0.5, 2.0):
-        pf.sym_immersion(ps_run.field, lam, conn=ps_run.conn)
-    assert calls == [0.5, 2.0]
+        pf.sym_immersion(field, lam, conn=ps_run.conn)
+    m = field.n_trunc + 1
+    per_lambda = [(7, 129, m)] * 18 + [(3, 129, m)]
+    assert calls == [((129, m), 0.5)] + [(s, 0.5) for s in per_lambda] \
+        + [((129, m), 2.0)] + [(s, 2.0) for s in per_lambda]
+
+
+@pytest.mark.parametrize("block", ["under one line", "5 lines + 3", "all"])
+def test_sym_block_size_does_not_change_a_bit(monkeypatch, block):
+    # every block runs the same elementwise arithmetic on arrays of the
+    # same layout, so each field is array_equal whatever the block
+    spec = pf.preset_c0_kink(0.5)
+    x, y = np.linspace(-2, 2, 65), np.linspace(-1, 1, 33)
+    field = pf.build_frame_field(
+        pf.integrate_half_frame(spec, "x", x, n_trunc=12),
+        pf.integrate_half_frame(spec, "y", y, n_trunc=12))
+    conn = pf.extract_connection(field)
+    lams = (0.5, 1.3)
+    ref = [pf.sym_immersion(field, lam, conn=conn)     # blocks of 31 rows
+           for lam in lams]
+    monkeypatch.setattr(frames, "BLOCK_NODES", {
+        "under one line": 5, "5 lines + 3": 5 * len(y) + 3,
+        "all": 10 * len(x) * len(y)}[block])
+    for lam, S in zip(lams, ref):
+        S_b = pf.sym_immersion(field, lam, conn=conn)
+        for name in ("f", "N", "fx", "fy", "Nx", "Ny"):
+            assert np.array_equal(getattr(S_b, name), getattr(S, name)), name
+        assert S_b.unitarity == S.unitarity
+
+
+def sym_peak_above_held(run):
+    """Traced peak bytes of one Sym evaluation above the fields it returns."""
+    tracemalloc.start()
+    try:
+        S = pf.sym_immersion(run.field, 0.7, conn=run.conn)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields = sum(getattr(S, name).nbytes
+                 for name in ("f", "N", "fx", "fy", "Nx", "Ny"))
+    assert fields <= held <= fields + 64 * 2 ** 10
+    return peak - held
+
+
+def test_sym_memory_is_bounded(ps_run, ps_run_257):
+    # Sym fills its six fields by row blocks and makes no whole-grid
+    # temporary: the peak above them does not grow with the grid
+    assert sym_peak_above_held(ps_run_257) <= (sym_peak_above_held(ps_run)
+                                              + 2 ** 20)
 
 
 @pytest.mark.parametrize("run_name", ["ps_run", "kink_run"])
@@ -250,11 +308,15 @@ unit_range = st.floats(-2.0, 2.0)
 @example(c=(0.0, 1.0, 0.0, 5e-324), v=(0.0, 1.0, 0.0))
 def test_rotation_of_a_non_unit_frame(c, v):
     a, b = complex(c[0], c[1]), complex(c[2], c[3])
+    field = packed_frame(a, b)
+    (_, row_a, row_b, _, _), = frames.frame_row_blocks(field, 1.0)
+    # alpha = phihat = 0 at lambda0 = 1: f_x = R e1, N_y = R e2
+    conn = SimpleNamespace(q=np.full(1, 1j), p=np.full((1, 1), 1j))
     with pytest.MonkeyPatch.context() as mp:
         set_structure_tol(mp, np.inf)
-        _, cols, row = sym._frame_at(packed_frame(a, b), 1.0)
-    R = np.stack([col[0, 0] for col in cols], axis=-1)
-    np.testing.assert_allclose(row[0, 0], [a, b])
+        S = pf.sym_immersion(field, 1.0, conn=conn)
+    R = np.stack([S.fx[0, 0], S.Ny[0, 0], S.N[0, 0]], axis=-1)
+    np.testing.assert_allclose([row_a[0, 0], row_b[0, 0]], [a, b])
     assert np.abs(R.T @ R - np.eye(3)).max() < 1e-14
     assert abs(np.linalg.det(R) - 1.0) < 1e-14
     X = v[0] * E1 + v[1] * E2 + v[2] * E3
@@ -307,8 +369,9 @@ def test_surface_carries_frame_unitarity(ps_run, kink_run):
         N = run.field.n_trunc
         U = loops.unpack(run.field.Uhat, -N)
         for lam, S in run.surfaces.items():
-            row = frames.frame_rows(run.field, lam)[0]
-            assert S.unitarity == loops.packed_unitarity(row)
+            assert S.unitarity == max(
+                loops.packed_unitarity(np.stack([a, b], -1))
+                for _, a, b, _, _ in frames.frame_row_blocks(run.field, lam))
             Ue = loops.eval_coeffs(U, -N, lam)
             assert abs(S.unitarity - loops.unitarity_residual(Ue)) <= 1e-15
     assert ps_run.surfaces[1.0].unitarity < 1e-12
