@@ -15,7 +15,7 @@ import psfront as pf
 
 n = 65
 x = np.linspace(-2.0, 2.0, n)
-spec = pf.preset_pseudosphere()
+spec = pf.preset_by_name("pseudosphere")
 
 t0 = time.perf_counter()
 up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)

@@ -12,7 +12,7 @@ import numpy as np
 import psfront as pf
 
 amp = 0.75
-spec = pf.preset_c0_kink(amp)
+spec = pf.preset_by_name("c0_kink", amp)
 x = np.linspace(-2.0, 2.0, 65)
 
 up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)

@@ -38,7 +38,7 @@ print(f"g(0.7) first row {np.round(row, 6)}; against eval_coeffs: "
 
 # the y-axis half frame has determinant 1, so its adjugate is its inverse
 N = 16
-um = pf.integrate_half_frame(pf.preset_pseudosphere(), "y",
+um = pf.integrate_half_frame(pf.preset_by_name("pseudosphere"), "y",
                              np.linspace(-2, 2, 33), n_trunc=N)
 V = um.coeffs
 VinvV = loops.packed_mul(loops.packed_adjugate(V, -N), V, -N, -N, -N, N + 1)

@@ -11,7 +11,7 @@ import numpy as np
 import psfront as pf
 
 x = np.linspace(-2.0, 2.0, 129)
-spec = pf.preset_pseudosphere()
+spec = pf.preset_by_name("pseudosphere")
 up = pf.integrate_half_frame(spec, "x", x, n_trunc=16)
 um = pf.integrate_half_frame(spec, "y", x, n_trunc=16)
 field = pf.build_frame_field(up, um)

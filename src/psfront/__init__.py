@@ -15,8 +15,7 @@ apply_thread_env()
 from .loops import (DEFAULT_TRUNC, MAX_DEGREE, SingularSeriesError,
                     TruncationOverflowError)
 from .potentials import (DomainError, PotentialSpec, eta_minus, eta_plus,
-                         from_json, preset_by_name, preset_c0_kink,
-                         preset_pseudosphere, preset_vacuum, to_json)
+                         from_json, preset_by_name, to_json)
 from .frames import (ConnectionField, ConnectionShapeError, FrameField,
                      GridError, HalfFrameFamily, SplitError, birkhoff_split,
                      build_frame_field, extract_connection,

@@ -15,19 +15,22 @@ or more meshes in up to two worker processes while the next lambda is
 computed, and print the "wrote" lines in lambda order; a single mesh is
 written in process. Each per-lambda loop of generate, sweep and verify holds
 one surface: a lambda's SurfaceGrid and forms are released once its row and
-mesh job are handed over, before the next lambda's Sym runs. Heavy imports
-happen after the thread override so PSFRONT_THREADS can cap the BLAS pool.
+mesh job are handed over, before the next lambda's Sym runs. Imports sit at
+the top: the package applies the PSFRONT_THREADS override before numpy loads.
 """
 
 import argparse
 import collections
 import functools
+import inspect
 import json
 import math
 import os
 import sys
 
-from ._threads import apply_thread_env
+import numpy as np
+
+from . import analysis, frames, oracles, potentials, sym
 
 FMT = "%.17g"
 
@@ -41,10 +44,6 @@ SWEEP_COLUMNS = {
     "m_defect": "second form m residual",
     "K_defect": "K+1 residual",
 }
-
-CONFIG_KEYS = ("preset", "amplitude", "potential", "interval", "grid", "trunc",
-               "lambdas", "tolerances", "out", "step")
-
 
 class ConfigError(ValueError):
     """Run configuration violates a structural requirement."""
@@ -90,7 +89,6 @@ class RunConfig:
         self.grid = _number("grid", grid, int)
         self.trunc = _number("trunc", trunc, int)
         self.lambdas = _numbers("lambdas", lambdas)
-        from . import analysis
         self.tolerances = {name: tol for name, tol, _ in analysis.CHECKS}
         if not isinstance(tolerances, (dict, type(None))):
             raise ConfigError(f"tolerances must map names to numbers, got "
@@ -134,16 +132,11 @@ class RunConfig:
 
     def potential_spec(self):
         """The potential object, or the preset's on both sides."""
-        from . import potentials
         if self.potential is not None:
             return potentials.from_json(self.potential)
-        side = {"preset": self.preset}
-        if self.amplitude is not None:
-            side["amplitude"] = self.amplitude
-        obj = {"alpha": side, "beta": side}
-        if self.step is not None:
-            obj["step"] = self.step
-        return potentials.from_json(obj)
+        return potentials.preset_by_name(
+            self.preset, self.amplitude,
+            step=potentials.DEFAULT_STEP if self.step is None else self.step)
 
     @classmethod
     def from_args(cls, args):
@@ -174,7 +167,6 @@ class RunConfig:
             kwargs["out"] = args.out
         tol_args = getattr(args, "tol", None)
         if tol_args and isinstance(kwargs.get("tolerances") or {}, dict):
-            from . import analysis
             tols = dict(kwargs.get("tolerances") or {})
             for entry in tol_args:
                 if "=" in entry:
@@ -187,13 +179,14 @@ class RunConfig:
         return cls(**kwargs)
 
 
+CONFIG_KEYS = tuple(inspect.signature(RunConfig).parameters)
+
+
 # ---------------------------------------------------------------------------
 # pipeline orchestration
 
 def _build_state(cfg):
     """Potential -> frame family -> frame field -> connection, once per run."""
-    import numpy as np
-    from . import frames
     spec = cfg.potential_spec()
     x = np.linspace(cfg.interval[0], cfg.interval[1], cfg.grid)
     y = np.linspace(cfg.interval[0], cfg.interval[1], cfg.grid)
@@ -210,11 +203,6 @@ def _build_state(cfg):
     return field, conn
 
 
-def _surface(field, conn, lam):
-    from . import sym
-    return sym.sym_immersion(field, lam, conn=conn)
-
-
 # ---------------------------------------------------------------------------
 # writers
 
@@ -228,7 +216,6 @@ def _write_rows(fh, rows, prefix="", sep=" "):
 @functools.lru_cache(maxsize=8)
 def _quad_faces(nx, ny, prefix, base):
     """Quad lines (i,j) (i+1,j) (i+1,j+1) (i,j+1) from index base, per row."""
-    import numpy as np
     a = np.arange(base, base + ny - 1)
     quad = np.stack([a, a + ny, a + ny + 1, a + 1], axis=-1).ravel()
     template = (prefix + "%d %d %d %d\n") * (ny - 1)
@@ -280,6 +267,7 @@ def _writer_pool():
     whose threads a fork does not carry over. Elsewhere the platform's
     default start method imports the writers in each worker.
     """
+    # imported here, not at the top: about 5 ms that verify never needs
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -329,7 +317,6 @@ def _write_meshes(jobs, count):
 
 def read_ply(path):
     """Parse an ASCII PLY written by write_ply; returns (vertices, faces)."""
-    import numpy as np
     with open(path) as fh:
         line = fh.readline().strip()
         if line != "ply":
@@ -361,7 +348,6 @@ def read_ply(path):
 
 def write_csv(path, header, columns):
     """Per-node CSV; columns is a list of flat arrays in header order."""
-    import numpy as np
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, np.column_stack(columns)[:, None, :], sep=",")
@@ -369,7 +355,6 @@ def write_csv(path, header, columns):
 
 def write_frame_glyphs(path, S, omega_field):
     """Orthonormal frame (e1, e2, N) along the grid row closest to y = 0."""
-    from . import analysis
     frame = analysis.complete_frame(analysis.tangent_frame(S), omega_field)
     j0 = S.i0y
     header = ["x", "fx", "fy", "fz", "e1x", "e1y", "e1z",
@@ -385,11 +370,10 @@ def cmd_generate(args):
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
-    from . import analysis
 
     def meshes():
         for lam in cfg.lambdas:
-            S = _surface(field, conn, lam)
+            S = sym.sym_immersion(field, lam, conn)
             rep = analysis.fundamental_forms(S)
             if rep.regular_count == 0:
                 print(f"warning: surface at lambda={lam:g} is not regular "
@@ -404,7 +388,6 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    from . import analysis, frames
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
@@ -413,7 +396,7 @@ def cmd_verify(args):
                "interval": list(cfg.interval), "lambdas": {}, "pass": True}
     first_fail = None
     for lam in cfg.lambdas:
-        S = _surface(field, conn, lam)
+        S = sym.sym_immersion(field, lam, conn)
         rep = analysis.fundamental_forms(S)
         entry = {"regular nodes": rep.regular_count, "checks": {}}
         for name, _, check in analysis.CHECKS:
@@ -443,8 +426,6 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    import numpy as np
-    from . import analysis
     cfg = RunConfig.from_args(args)
     if len(cfg.lambdas) != 1:
         raise ConfigError(f"export writes one surface: give one --lambda "
@@ -454,7 +435,7 @@ def cmd_export(args):
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
     lam = cfg.lambdas[0]
-    S = _surface(field, conn, lam)
+    S = sym.sym_immersion(field, lam, conn)
     stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
     written = []
     path = os.path.join(cfg.out, stem + "." + args.format)
@@ -488,7 +469,6 @@ def cmd_export(args):
 
 
 def cmd_sweep(args):
-    from . import analysis
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
@@ -499,7 +479,7 @@ def cmd_sweep(args):
 
     def meshes():
         for lam in cfg.lambdas:
-            S = _surface(field, conn, lam)
+            S = sym.sym_immersion(field, lam, conn)
             if not S.unitarity <= unit_tol:
                 print(f"warning: frame at lambda={lam:g} is not unitary "
                       f"(residual {S.unitarity:.3e})", file=sys.stderr)
@@ -521,8 +501,6 @@ def cmd_sweep(args):
 
 
 def cmd_oracle_sg(args):
-    import numpy as np
-    from . import oracles
     cfg = RunConfig.from_args(args)
     spec = cfg.potential_spec()
     n = cfg.grid
@@ -604,7 +582,6 @@ def build_parser():
 
 
 def main(argv=None):
-    apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -85,7 +85,7 @@ class HalfFrameFamily:
     """
 
     def __init__(self, axis, nodes, coeffs, k_min, n_trunc, spec,
-                 per_degree_sup=None):
+                 per_degree_sup):
         self.axis = axis
         self.nodes = nodes
         self.coeffs = coeffs
@@ -420,7 +420,7 @@ class ConnectionField:
         omega2 = -(1 / (2 lambda)) [[0, p], [-conj(p), 0]]
     """
 
-    def __init__(self, x, y, alpha, beta, phihat, r, shape_report=None):
+    def __init__(self, x, y, alpha, beta, phihat, r, shape_report):
         self.x = x
         self.y = y
         self.alpha = alpha

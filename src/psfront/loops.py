@@ -12,9 +12,10 @@ determinant 1, packed_eval gives the first row (a, b) and its t-derivative,
 packed_unitarity the defect of |a|^2 + |b|^2 = 1; pack and unpack convert to
 and from (..., D, 2, 2) coefficient blocks.
 
-Every product reduces to one kernel, scalar_conv, a shift-add over the
-coefficients of its first factor on a fixed output window, with arbitrary
-leading batch axes so that a block of grid nodes is processed in one call.
+Products run through scalar_conv, a shift-add over the coefficients of its
+first factor on a fixed output window with free leading batch axes, except
+U_hat = U_plus L_minus in frames._uhat: U_plus is fixed along an x row, so
+that product is one matmul per row against a Toeplitz matrix of U_plus.
 The general complex kernels on 2x2 coefficient blocks (mul_coeffs,
 adjugate_coeffs, det_coeffs, recip_coeffs, inverse_coeffs, eval_coeffs,
 unitarity_residual) are the references the packed kernels are tested

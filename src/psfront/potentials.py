@@ -1,21 +1,21 @@
 """Boundary potentials: rough angle data on the two axes and their loop coefficients.
 
 A potential is a pair of continuous real functions alpha(x), beta(y) on a fixed
-interval, stored as uniform samples (default step 1/256) with an interpolation
-rule. Presets additionally carry analytic closures so that lattice evaluation
-has no resampling error. The two operations eta_plus / eta_minus produce the
-2x2 matrix coefficients that drive the characteristic integrations: eta_plus is
-the coefficient of lambda^{+1}, eta_minus of lambda^{-1}.
+interval, stored as uniform samples (default step 1/256) and read linearly
+between them, which keeps corner data in the paper's C0 class. Presets carry
+analytic closures so that lattice evaluation has no resampling error. The two
+operations eta_plus / eta_minus produce the 2x2 matrix coefficients that drive
+the characteristic integrations: eta_plus is the coefficient of lambda^{+1},
+eta_minus of lambda^{-1}.
 """
 
 import json
+import math
 
 import numpy as np
 
 DEFAULT_STEP = 1.0 / 256.0
 DEFAULT_INTERVAL = (-4.0, 4.0)
-
-INTERPOLATIONS = ("piecewise-linear", "piecewise-constant")
 
 
 class DomainError(ValueError):
@@ -24,9 +24,15 @@ class DomainError(ValueError):
 
 def _uniform_lattice(interval, step):
     lo, hi = float(interval[0]), float(interval[1])
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"potential step must be positive and finite, "
+                         f"got {step!r}")
     if not lo < hi:
         raise ValueError(f"empty interval {interval}")
     n = (hi - lo) / step
+    if not math.isfinite(n):
+        raise ValueError(f"potential interval {[lo, hi]} spans a non-finite "
+                         f"number of steps of {step!r}")
     if abs(n - round(n)) > 1e-9:
         raise ValueError(f"interval {interval} is not a whole number of steps {step}")
     n = int(round(n))
@@ -37,16 +43,8 @@ def _uniform_lattice(interval, step):
     return lo + step * np.arange(n + 1)
 
 
-def _interpolate(px, pv, t, interpolation):
-    """Values at t of the values pv at increasing coordinates px."""
-    if interpolation == "piecewise-constant":
-        idx = np.clip(np.searchsorted(px, t, side="right") - 1, 0, len(px) - 1)
-        return pv[idx]
-    return np.interp(t, px, pv)
-
-
-def _resample(pairs, xs, interpolation, where):
-    """Values on xs of (coordinate, value) pairs in any order."""
+def _resample(pairs, xs, where):
+    """Values on xs of (coordinate, value) pairs in any order, read linearly."""
     try:
         pairs = np.asarray(pairs, float)
     except (TypeError, ValueError):
@@ -54,8 +52,17 @@ def _resample(pairs, xs, interpolation, where):
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"{where} must be a list of [coordinate, value] "
                          "pairs")
-    order = np.argsort(pairs[:, 0])
-    return _interpolate(pairs[order, 0], pairs[order, 1], xs, interpolation)
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{where} must be finite")
+    px, pv = pairs[np.argsort(pairs[:, 0])].T
+    vals = np.interp(xs, px, pv)
+    # np.interp's slope overflows between nearly equal coordinates, where
+    # the fraction w of the segment still reads the value
+    bad = ~np.isfinite(vals)
+    j = np.searchsorted(px, xs[bad], side="right")
+    w = (xs[bad] - px[j - 1]) / (px[j] - px[j - 1])
+    vals[bad] = (1.0 - w) * pv[j - 1] + w * pv[j]
+    return vals
 
 
 class PotentialSpec:
@@ -64,15 +71,12 @@ class PotentialSpec:
     Attributes
     ----------
     xs : uniform sample lattice over the interval (origin is a node)
-    alpha_samples, beta_samples : real samples on xs
-    interpolation : rule used between nodes for sampled data
+    alpha_samples, beta_samples : real samples on xs, read piecewise
+        linearly between nodes
     """
 
-    def __init__(self, xs, alpha_samples, beta_samples,
-                 interpolation="piecewise-linear",
-                 alpha_fn=None, beta_fn=None, name=None):
-        if interpolation not in INTERPOLATIONS:
-            raise ValueError(f"unknown interpolation {interpolation!r}")
+    def __init__(self, xs, alpha_samples, beta_samples, alpha_fn=None,
+                 beta_fn=None, name=None):
         self.xs = np.asarray(xs, float)
         self.step = float(self.xs[1] - self.xs[0])
         self.interval = (float(self.xs[0]), float(self.xs[-1]))
@@ -83,7 +87,6 @@ class PotentialSpec:
             raise ValueError("sample arrays must match the lattice")
         if not np.isfinite([self.alpha_samples, self.beta_samples]).all():
             raise ValueError("potential samples must be finite")
-        self.interpolation = interpolation
         self._alpha_fn = alpha_fn
         self._beta_fn = beta_fn
         self.name = name
@@ -99,11 +102,10 @@ class PotentialSpec:
 
     @classmethod
     def from_samples(cls, alpha_pairs, beta_pairs, interval=DEFAULT_INTERVAL,
-                     step=DEFAULT_STEP, interpolation="piecewise-linear"):
+                     step=DEFAULT_STEP):
         """Build from explicit (coordinate, value) pairs, resampled to the lattice."""
         return from_json({"alpha": {"samples": alpha_pairs}, "step": step,
-                          "beta": {"samples": beta_pairs}, "interval": interval,
-                          "interpolation": interpolation})
+                          "beta": {"samples": beta_pairs}, "interval": interval})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -120,7 +122,7 @@ class PotentialSpec:
         t = self._check_domain(t)
         if fn is not None:
             return fn(t)
-        return _interpolate(self.xs, samples, t, self.interpolation)
+        return np.interp(t, self.xs, samples)
 
     def alpha(self, x):
         return self._eval(self.alpha_samples, self._alpha_fn, x)
@@ -131,7 +133,7 @@ class PotentialSpec:
     def __repr__(self):
         tag = self.name or "samples"
         return (f"PotentialSpec({tag}, interval={self.interval}, "
-                f"step={self.step:g}, {self.interpolation})")
+                f"step={self.step:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,8 @@ def eta_minus(spec, y):
 # ---------------------------------------------------------------------------
 # presets
 
-# name -> (the keys a side of it reads, amplitude -> (alpha, beta) closures)
+# name -> (the keys a side of it reads, amplitude -> (alpha, beta) closures):
+# the pseudo-sphere, zero angles (a straight line) and the C0 kinks a|x|, a|y|
 _PRESETS = {
     "pseudosphere": (("preset",), lambda a: (
         lambda x: 4.0 * np.arctan(np.exp(x)) - np.pi,
@@ -168,21 +171,6 @@ _PRESETS = {
     "c0_kink": (("preset", "amplitude"),
                 lambda a: (lambda t: a * np.abs(t),) * 2),
 }
-
-
-def preset_pseudosphere(interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
-    """Boundary angles whose surface is the standard pseudo-sphere."""
-    return preset_by_name("pseudosphere", None, interval, step)
-
-
-def preset_vacuum(interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
-    """Zero angles; the degenerate straight-line front."""
-    return preset_by_name("vacuum", None, interval, step)
-
-
-def preset_c0_kink(amplitude, interval=DEFAULT_INTERVAL, step=DEFAULT_STEP):
-    """Angles a|x|, a|y|: continuous but not differentiable at the axes."""
-    return preset_by_name("c0_kink", amplitude, interval, step)
 
 
 def preset_by_name(name, amplitude=None, interval=DEFAULT_INTERVAL,
@@ -198,10 +186,9 @@ def preset_by_name(name, amplitude=None, interval=DEFAULT_INTERVAL,
 # ---------------------------------------------------------------------------
 # JSON schema, defaults shown; a key outside it, or a value of the wrong type,
 # raises ValueError naming it:
-# {"alpha": side, "beta": side, "step": 1/256, "interval": [-4, 4],
-#  "interpolation": "piecewise-linear" | "piecewise-constant"}, where a side is
-# {"preset": "pseudosphere" | "vacuum"}, {"preset": "c0_kink", "amplitude": 1}
-# or {"samples": [[coordinate, value], ...]}, pairs in any order
+# {"alpha": side, "beta": side, "step": 1/256, "interval": [-4, 4]}, where a
+# side is {"preset": "pseudosphere" | "vacuum"}, {"preset": "c0_kink",
+# "amplitude": 1} or {"samples": [[coordinate, value], ...]}, pairs in any order
 
 def _number(where, value):
     try:
@@ -217,7 +204,7 @@ def _reject_unread(obj, keys, where):
                          f"; it reads {', '.join(map(repr, keys))}")
 
 
-def _side(obj, key, which, xs, interpolation):
+def _side(obj, key, which, xs):
     """A side's closure (None for samples), lattice values and preset name."""
     side = obj.get(key)
     if not isinstance(side, dict) or not {"preset", "samples"} & set(side):
@@ -225,7 +212,7 @@ def _side(obj, key, which, xs, interpolation):
                          f"'preset' or 'samples', got {side!r}")
     if "preset" not in side:
         _reject_unread(side, ("samples",), f"potential {key!r}")
-        return None, _resample(side["samples"], xs, interpolation,
+        return None, _resample(side["samples"], xs,
                                f"potential {key!r} samples"), None
     name = side["preset"]
     if not isinstance(name, str):
@@ -251,8 +238,7 @@ def from_json(source):
             obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"potential must be a JSON object, got {obj!r}")
-    _reject_unread(obj, ("alpha", "beta", "step", "interval", "interpolation"),
-                   "potential")
+    _reject_unread(obj, ("alpha", "beta", "step", "interval"), "potential")
     interval = obj.get("interval", DEFAULT_INTERVAL)
     if not isinstance(interval, (list, tuple, np.ndarray)) \
             or len(interval) != 2:
@@ -261,17 +247,15 @@ def from_json(source):
     xs = _uniform_lattice(
         tuple(_number("potential interval entry", v) for v in interval),
         _number("potential step", obj.get("step", DEFAULT_STEP)))
-    interp = obj.get("interpolation", "piecewise-linear")
-    (fa, a, na), (fb, b, nb) = (_side(obj, key, which, xs, interp)
+    (fa, a, na), (fb, b, nb) = (_side(obj, key, which, xs)
                                 for which, key in enumerate(("alpha", "beta")))
-    return PotentialSpec(xs, a, b, interp, alpha_fn=fa, beta_fn=fb,
+    return PotentialSpec(xs, a, b, alpha_fn=fa, beta_fn=fb,
                          name=na if na == nb else None)
 
 
 def to_json(spec):
     """Serializable description; presets stay symbolic, samples are listed."""
-    obj = {"step": spec.step, "interval": list(spec.interval),
-           "interpolation": spec.interpolation}
+    obj = {"step": spec.step, "interval": list(spec.interval)}
     preset, _, amplitude = (spec.name or "").partition("[")
     if preset in _PRESETS:
         side = {"preset": preset}

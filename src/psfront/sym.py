@@ -81,16 +81,15 @@ def su2_to_r3(X, tol=1e-8):
 class SurfaceGrid:
     """Immersion and unit normal sampled on the parameter grid.
 
-    f and N have shape (nx, ny, 3). Analytic tangent and normal-derivative
-    fields are attached when the connection is available; consumers fall back
-    to finite differences when they are absent, and so is unitarity, the
-    loops.packed_unitarity of the frame they came from. A normal whose norm
+    f and N have shape (nx, ny, 3). sym_immersion attaches the exact tangent
+    and normal-derivative fields and unitarity, the loops.packed_unitarity of
+    the frame they came from. A surface built from arrays may leave them
+    None; consumers then fall back to finite differences. A normal whose norm
     misses 1 by more than NORMAL_TOL, or is NaN, raises StructureError; the
     norm is read one block of rows at a time.
     """
 
-    def __init__(self, x, y, lam0, f, N, fx=None, fy=None, Nx=None, Ny=None,
-                 conn=None):
+    def __init__(self, x, y, lam0, f, N, fx=None, fy=None, Nx=None, Ny=None):
         self.x = x
         self.y = y
         self.lam0 = float(lam0)
@@ -100,7 +99,6 @@ class SurfaceGrid:
         self.fy = fy
         self.Nx = Nx
         self.Ny = Ny
-        self.conn = conn
         self.unitarity = None
         # by row blocks, as Sym fills N: no whole-grid temporary
         norm_defect = sup_abs([
@@ -141,22 +139,20 @@ def _structure_tol(field, lam0):
     return tail_tolerance(1e-8, field.n_trunc, reach, max(lam0, 1.0 / lam0))
 
 
-def sym_immersion(field, lam0, conn=None):
+def sym_immersion(field, lam0, conn):
     """Surface and unit normal at evaluation point lam0 > 0.
 
     The t-derivative of f = U_hat_t U_hat^{-1} scales degree k by k lam0^k,
     and its products with U_hat reach degree +-2 n_trunc; a lam0 for which
     k lam0^k overflows there raises ValueError.
-    The returned SurfaceGrid carries the unitarity residual of U_hat(lam0),
-    and with a connection given, the exact tangent and normal-derivative
-    fields. Each block of frames.frame_row_blocks fills its rows of every
-    field.
+    The returned SurfaceGrid carries the unitarity residual of U_hat(lam0)
+    and the exact tangent and normal-derivative fields, read with the
+    connection conn of the field. Each block of frames.frame_row_blocks fills
+    its rows of every field.
     """
     structure_tol = _structure_tol(field, lam0)
     shape = field.Lminus.shape[:2] + (3,)
-    f, N = np.empty(shape), np.empty(shape)
-    if conn is not None:
-        fx, fy, Nx, Ny = (np.empty(shape) for _ in range(4))
+    f, N, fx, fy, Nx, Ny = (np.empty(shape) for _ in range(6))
     defects, unitarity = [], []
     for rows, a, b, at, bt in frame_row_blocks(field, lam0):
         ca, cb = a.conj(), b.conj()
@@ -177,8 +173,6 @@ def sym_immersion(field, lam0, conn=None):
             np.multiply(v, -2.0, out=N[rows, :, k])
         np.subtract(aa, bb, out=N[rows, :, 2])
         N[rows] *= inv_d[..., None]
-        if conn is None:
-            continue
         a2, b2 = ca * ca, b * b
         u = np.stack([a2 - b2, 1j * (a2 + b2), 2.0 * (ca * b)], -1)
         X = (conn.q[rows, None].conj() * inv_d)[..., None] * u
@@ -191,8 +185,6 @@ def sym_immersion(field, lam0, conn=None):
     if not defect <= structure_tol:
         raise StructureError(
             f"not su(2): defect {defect:.3e} > {structure_tol:g}")
-    S = SurfaceGrid(field.x, field.y, lam0, f, N, conn=conn)
+    S = SurfaceGrid(field.x, field.y, lam0, f, N, fx, fy, Nx, Ny)
     S.unitarity = sup_abs(unitarity)
-    if conn is not None:
-        S.fx, S.fy, S.Nx, S.Ny = fx, fy, Nx, Ny
     return S

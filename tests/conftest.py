@@ -35,27 +35,27 @@ def build_run(spec, n, half=2.0, n_trunc=16, lambdas=(1.0,)):
 
 @pytest.fixture(scope="session")
 def ps_run():
-    return build_run(pf.preset_pseudosphere(), 129, lambdas=LAMBDAS)
+    return build_run(pf.preset_by_name("pseudosphere"), 129, lambdas=LAMBDAS)
 
 
 @pytest.fixture(scope="session")
 def ps_run_257():
-    return build_run(pf.preset_pseudosphere(), 257)
+    return build_run(pf.preset_by_name("pseudosphere"), 257)
 
 
 @pytest.fixture(scope="session")
 def ps_run_n8():
-    return build_run(pf.preset_pseudosphere(), 129, n_trunc=8)
+    return build_run(pf.preset_by_name("pseudosphere"), 129, n_trunc=8)
 
 
 @pytest.fixture(scope="session")
 def kink_run():
-    return build_run(pf.preset_c0_kink(0.5), 129, lambdas=LAMBDAS)
+    return build_run(pf.preset_by_name("c0_kink", 0.5), 129, lambdas=LAMBDAS)
 
 
 @pytest.fixture(scope="session")
 def vacuum_run():
-    return build_run(pf.preset_vacuum(), 17, lambdas=LAMBDAS)
+    return build_run(pf.preset_by_name("vacuum"), 17, lambdas=LAMBDAS)
 
 
 def connection_blocks(conn):

@@ -160,7 +160,7 @@ def test_harmonicity_factor_tracks_cos_omega(closed_surface_129, closed_129):
 
 def test_mixed_residual_rows_keep_an_interior_nan():
     # d_xy is NaN on the boundary ring by definition; inside it NaN is a fault
-    run = build_run(pf.preset_pseudosphere(), 33)
+    run = build_run(pf.preset_by_name("pseudosphere"), 33)
     S = run.surfaces[1.0]
     rep = pf.fundamental_forms(S)
     rows = {name: check for name, _, check in analysis.CHECKS}

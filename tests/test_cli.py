@@ -16,7 +16,7 @@ import pytest
 
 import psfront
 import psfront.cli as cli
-from psfront import analysis, frames, loops, sym
+from psfront import _threads, analysis, frames, loops, sym
 
 
 def read_lines(path):
@@ -482,9 +482,9 @@ VACUUM = {"preset": "vacuum"}
 @pytest.mark.parametrize("config,flags,expect", [
     ({"potential": {"alpha": kink(0.5), "beta": kink(0.75)}}, [],
      ("beta", 1.0, 0.75)),
-    ({"potential": {"alpha": VACUUM, "interpolation": "piecewise-constant",
+    ({"potential": {"alpha": VACUUM,
                     "beta": {"samples": [[-4, 0], [0, 0], [0.5, 1], [4, 1]]}}},
-     [], ("beta", 0.25, 0.0)),
+     [], ("beta", 0.25, 0.5)),
     ({"potential": {"alpha": {"preset": "c0_kink", "amplitud": 0.5},
                     "beta": kink(0.5)}}, [],
      "potential 'alpha' (preset 'c0_kink'): unknown key 'amplitud'"),
@@ -511,6 +511,25 @@ VACUUM = {"preset": "vacuum"}
      "potential step must be a number, got [1]"),
     ({"potential": {"alpha": VACUUM, "beta": {"samples": {"0": 1}}}}, [],
      "potential 'beta' samples must be a list of [coordinate, value] pairs"),
+    # samples are read piecewise linearly, and no key chooses another rule
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM,
+                    "interpolation": "piecewise-linear"}}, [],
+     "potential: unknown key 'interpolation'"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM, "step": 0}}, [],
+     "potential step must be positive and finite, got 0.0"),
+    ({"preset": "vacuum", "step": 0}, [],
+     "potential step must be positive and finite, got 0.0"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM, "step": -0.25}}, [],
+     "potential step must be positive and finite, got -0.25"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM, "step": "nan"}}, [],
+     "potential step must be positive and finite, got nan"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM,
+                    "interval": [-4, "inf"]}}, [],
+     "potential interval [-4.0, inf] spans a non-finite number of steps"),
+    ({"potential": {"alpha": VACUUM, "beta": VACUUM,
+                    "interval": [-1e308, 1e308]}}, [],
+     "potential interval [-1e+308, 1e+308] spans a non-finite number of "
+     "steps"),
 ])
 def test_config_reads_every_key_or_exits_2(tmp_path, capsys, config, flags,
                                            expect):
@@ -611,7 +630,8 @@ def test_pool_writes_the_bytes_of_serial_writers(tmp_path, capsys, command,
     field, conn = cli._build_state(cfg)
     ref = tmp_path / "serial"
     for lam, path in zip(lams, paths):
-        getattr(cli, "write_" + fmt)(ref, cli._surface(field, conn, lam).f)
+        S = sym.sym_immersion(field, lam, conn)
+        getattr(cli, "write_" + fmt)(ref, S.f)
         assert path.read_bytes() == ref.read_bytes()
 
 
@@ -657,7 +677,8 @@ def test_pool_without_affinity_or_fork(tmp_path, capsys, monkeypatch):
     cfg = cli.RunConfig(grid=9, lambdas=(0.5, 2.0))
     field, conn = cli._build_state(cfg)
     for lam, path in zip(cfg.lambdas, paths):
-        cli.write_obj(tmp_path / "serial", cli._surface(field, conn, lam).f)
+        S = sym.sym_immersion(field, lam, conn)
+        cli.write_obj(tmp_path / "serial", S.f)
         assert path.read_bytes() == (tmp_path / "serial").read_bytes()
 
 
@@ -704,14 +725,14 @@ def test_worker_write_error_exits_2(tmp_path, capsys):
 
 def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
                                                        monkeypatch):
-    surface = cli._surface
+    surface = sym.sym_immersion
 
-    def sym_fails_at_3(field, conn, lam):
+    def sym_fails_at_3(field, lam, conn):
         if lam == 3:
             raise RuntimeError("Sym failed")
-        return surface(field, conn, lam)
+        return surface(field, lam, conn)
 
-    monkeypatch.setattr(cli, "_surface", sym_fails_at_3)
+    monkeypatch.setattr(sym, "sym_immersion", sym_fails_at_3)
     rc = cli.main(["sweep", "--preset", "vacuum", "--grid", "9", "--mesh",
                    "--lambda", "1,2,3,4", "--out", str(tmp_path)])
     assert rc == 2
@@ -727,17 +748,17 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
     ["sweep", "--mesh"], ["generate"], ["verify", "--tol", "1"]])
 def test_one_surface_alive_per_lambda(tmp_path, monkeypatch, argv):
     # a lambda's surface and forms are released before the next is computed
-    surface = cli._surface
+    surface = sym.sym_immersion
     made = []
 
-    def tracked(field, conn, lam):
+    def tracked(field, lam, conn):
         alive = [k for k, ref in enumerate(made) if ref() is not None]
         assert not alive, f"surfaces {alive} alive at lambda={lam:g}"
-        S = surface(field, conn, lam)
+        S = surface(field, lam, conn)
         made.append(weakref.ref(S))
         return S
 
-    monkeypatch.setattr(cli, "_surface", tracked)
+    monkeypatch.setattr(sym, "sym_immersion", tracked)
     assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "17",
                             "--lambda", "0.5,1,2",
                             "--out", str(tmp_path)]) == 0
@@ -770,16 +791,20 @@ def test_no_2x2_laurent_kernel_from_ladder_to_sym(tmp_path, monkeypatch):
 
 # -- import cost and the benchmark tracer ------------------------------------
 
-def modules_loaded_by_cli_import(names):
+def printed_after_cli_import(expr, env=None):
+    """What a fresh interpreter prints for expr after import psfront.cli."""
     src = os.path.dirname(os.path.dirname(psfront.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, psfront.cli; "
-         f"print([m for m in {names!r} if m in sys.modules])"],
+        [sys.executable, "-c", f"import os, sys, psfront.cli; print({expr})"],
         env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def modules_loaded_by_cli_import(names):
+    return printed_after_cli_import(
+        f"[m for m in {names!r} if m in sys.modules]")
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
@@ -789,6 +814,17 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 def test_cli_import_leaves_the_process_pool_unloaded():
     assert modules_loaded_by_cli_import(
         ["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+def test_cli_import_applies_the_thread_override():
+    # the package import is the override's one call site; a variable the
+    # user set keeps its value
+    env = {k: v for k, v in os.environ.items()
+           if k not in _threads._VARS + ("PSFRONT_THREADS",)}
+    env.update(PSFRONT_THREADS="1", OMP_NUM_THREADS="3")
+    assert printed_after_cli_import(
+        "os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS']",
+        env) == "1 3"
 
 
 def load_psbench(monkeypatch, name):

@@ -25,7 +25,7 @@ def random_packed(rng, n, k_min, k_max, scale):
 # -- half-frame ladder -------------------------------------------------------
 
 def test_ladder_origin_is_identity():
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     x = np.linspace(-2, 2, 17)
     fam = pf.integrate_half_frame(spec, "x", x)
     i0 = int(np.argmin(np.abs(x)))
@@ -36,7 +36,7 @@ def test_ladder_origin_is_identity():
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_packed_ladder_keeps_the_bits_of_the_matrix_ladder(axis):
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x = np.linspace(-2, 2, 33)
     fam = pf.integrate_half_frame(spec, axis, x, n_trunc=8)
     lattice, sel, i0 = frames._lattice_for(spec, x)
@@ -53,13 +53,13 @@ def test_packed_ladder_keeps_the_bits_of_the_matrix_ladder(axis):
 
 def test_vacuum_ladder_matches_exponential():
     x = np.linspace(-2, 2, 129)
-    fam = pf.integrate_half_frame(pf.preset_vacuum(), "x", x)
+    fam = pf.integrate_half_frame(pf.preset_by_name("vacuum"), "x", x)
     assert np.abs(fam.coeffs[:, 2] + x ** 2 / 8.0).max() < 1e-14
 
 
 def test_kink_degree_one_matches_adaptive_quadrature():
     # smooth on [0, 1], so a fine sample step exposes the quadrature accuracy
-    spec = pf.preset_c0_kink(1.0, step=1.0 / 8192.0)
+    spec = pf.preset_by_name("c0_kink", 1.0, step=1.0 / 8192.0)
     grid = np.linspace(0.0, 1.0, 9)
     fam = pf.integrate_half_frame(spec, "x", grid)
     re = quad(lambda s: np.cos(spec.alpha(s)), 0.0, 1.0)[0]
@@ -68,7 +68,7 @@ def test_kink_degree_one_matches_adaptive_quadrature():
 
 
 def test_default_step_ladder_error_is_second_order():
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x = np.linspace(-2, 2, 129)
     fam = pf.integrate_half_frame(spec, "x", x)
     worst = 0.0
@@ -80,14 +80,14 @@ def test_default_step_ladder_error_is_second_order():
 
 
 def test_ladder_decay_is_factorial():
-    fam = pf.integrate_half_frame(pf.preset_pseudosphere(), "x",
+    fam = pf.integrate_half_frame(pf.preset_by_name("pseudosphere"), "x",
                                   np.linspace(-2, 2, 65))
     for k, sup in enumerate(fam.per_degree_sup):
         assert sup <= 1.0 / math.factorial(k) + 1e-12
 
 
 def test_y_axis_family_has_nonpositive_degrees():
-    fam = pf.integrate_half_frame(pf.preset_pseudosphere(), "y",
+    fam = pf.integrate_half_frame(pf.preset_by_name("pseudosphere"), "y",
                                   np.linspace(-2, 2, 17))
     assert fam.k_min == -fam.n_trunc == -16
     assert fam.coeffs.shape == (17, 17)
@@ -96,7 +96,7 @@ def test_y_axis_family_has_nonpositive_degrees():
 
 
 def test_grid_validation():
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     with pytest.raises(GridError):
         pf.integrate_half_frame(spec, "z", np.linspace(-2, 2, 17))
     with pytest.raises(GridError):
@@ -240,7 +240,7 @@ def test_unitarity_bounded_by_truncation_tail(ps_run):
 
 
 def test_family_mismatch_rejected():
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     x = np.linspace(-2, 2, 17)
     up = pf.integrate_half_frame(spec, "x", x)
     um = pf.integrate_half_frame(spec, "y", x)
@@ -252,7 +252,7 @@ def test_family_mismatch_rejected():
 
 
 def test_validation_tolerance_can_force_failure():
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     x = np.linspace(-2, 2, 9)
     field = pf.build_frame_field(pf.integrate_half_frame(spec, "x", x),
                                  pf.integrate_half_frame(spec, "y", x))
@@ -263,7 +263,7 @@ def test_validation_tolerance_can_force_failure():
 def test_origin_gate_rejects_a_unitary_non_identity():
     # a constant unitary phase on U_plus at the origin passes the
     # consistency and unitarity gates, so only the origin gate can see it
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x = np.linspace(-2, 2, 33)
     up = pf.integrate_half_frame(spec, "x", x, n_trunc=12)
     um = pf.integrate_half_frame(spec, "y", x, n_trunc=12)
@@ -286,7 +286,7 @@ def test_build_reads_u_hat_only_through_its_blocks(monkeypatch):
 
 
 def small_families(n=17, n_trunc=16):
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     x = np.linspace(-2, 2, n)
     return (pf.integrate_half_frame(spec, "x", x, n_trunc=n_trunc),
             pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
@@ -337,7 +337,7 @@ def test_singular_split_names_the_grid_node():
 
 
 def test_kept_factor_slices_are_the_split_coefficients():
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x = np.linspace(-2, 2, 17)
     N = 16
     up = pf.integrate_half_frame(spec, "x", x, n_trunc=N)
@@ -403,7 +403,7 @@ def field_arrays(field, conn):
 
 @pytest.mark.parametrize("block", ["under one line", "5 lines + 3", "all"])
 def test_block_size_does_not_change_a_bit(monkeypatch, block):
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x, y = np.linspace(-2, 2, 65), np.linspace(-1, 1, 33)
     up = pf.integrate_half_frame(spec, "x", x, n_trunc=12)
     um = pf.integrate_half_frame(spec, "y", y, n_trunc=12)

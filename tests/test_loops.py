@@ -300,7 +300,7 @@ def test_unitarity_residual_matches_matrix_form():
 def test_window_overflow_raises():
     # the ladder's truncation degree is the one window a caller chooses
     grid = np.linspace(-2, 2, 17)
-    spec = pf.preset_pseudosphere()
+    spec = pf.preset_by_name("pseudosphere")
     fam = pf.integrate_half_frame(spec, "x", grid, n_trunc=loops.MAX_DEGREE)
     assert fam.coeffs.shape == (17, loops.MAX_DEGREE + 1)
     with pytest.raises(TruncationOverflowError):

@@ -44,9 +44,9 @@ def test_su2_structure_is_enforced():
 
 def test_lambda_must_be_positive(ps_run):
     with pytest.raises(ValueError):
-        pf.sym_immersion(ps_run.field, 0.0)
+        pf.sym_immersion(ps_run.field, 0.0, ps_run.conn)
     with pytest.raises(ValueError):
-        pf.sym_immersion(ps_run.field, -1.0)
+        pf.sym_immersion(ps_run.field, -1.0, ps_run.conn)
 
 
 def set_structure_tol(monkeypatch, tol):
@@ -56,7 +56,7 @@ def set_structure_tol(monkeypatch, tol):
 def test_structure_tolerance_can_force_failure(ps_run, monkeypatch):
     set_structure_tol(monkeypatch, 1e-30)
     with pytest.raises(StructureError):
-        pf.sym_immersion(ps_run.field, 1.0)
+        pf.sym_immersion(ps_run.field, 1.0, ps_run.conn)
 
 
 def test_origin_anchors(ps_run):
@@ -142,22 +142,19 @@ def test_nan_frame_node_fails_sym_immersion(ps_run, monkeypatch):
     # in the first block of rows and in block 14: a max() over the blocks
     # would drop the second
     for node in ((6, 5), (100, 5)):
-        for conn in (None, ps_run.conn):
-            with pytest.raises(StructureError,
-                               match=r"not su\(2\): defect nan"):
-                pf.sym_immersion(nan_frame_node(ps_run, node), 1.0,
-                                 conn=conn)
+        with pytest.raises(StructureError, match=r"not su\(2\): defect nan"):
+            pf.sym_immersion(nan_frame_node(ps_run, node), 1.0, ps_run.conn)
     field = nan_frame_node(ps_run)
     # no tolerance lets a NaN through the gate
     set_structure_tol(monkeypatch, np.inf)
     with pytest.raises(StructureError, match=r"defect nan > inf"):
-        pf.sym_immersion(field, 1.0)
+        pf.sym_immersion(field, 1.0, ps_run.conn)
 
 
 def test_surface_grid_carries_metadata(ps_run):
     S = ps_run.surfaces[2.0]
     assert S.lam0 == 2.0
-    assert S.conn is ps_run.conn
+    assert all(v.shape == (129, 129, 3) for v in (S.fx, S.fy, S.Nx, S.Ny))
     assert S.f.shape == (129, 129, 3)
     assert np.array_equal(S.x, ps_run.field.x)
 
@@ -226,7 +223,7 @@ def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
 def test_sym_block_size_does_not_change_a_bit(monkeypatch, block):
     # every block runs the same elementwise arithmetic on arrays of the
     # same layout, so each field is array_equal whatever the block
-    spec = pf.preset_c0_kink(0.5)
+    spec = pf.preset_by_name("c0_kink", 0.5)
     x, y = np.linspace(-2, 2, 65), np.linspace(-1, 1, 33)
     field = pf.build_frame_field(
         pf.integrate_half_frame(spec, "x", x, n_trunc=12),
@@ -361,7 +358,7 @@ def test_one_su2_gate_per_lambda(ps_run, monkeypatch):
         defect = float(str(want.value).split()[3])
         assert defect > 1e-4
         set_structure_tol(monkeypatch, 1.01 * defect)
-        pf.sym_immersion(field, lam)
+        pf.sym_immersion(field, lam, ps_run.conn)
 
 
 def test_surface_carries_frame_unitarity(ps_run, kink_run):
