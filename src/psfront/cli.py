@@ -1,22 +1,25 @@
-"""Command line driver: generate surfaces, verify invariants, export meshes.
+"""Command line driver: generate surfaces and verify invariants.
 
-Subcommands: generate (run the pipeline and write meshes), verify (residuals
-of every checked identity against tolerances, JSON summary, exit 0 iff all
-pass), export (OBJ, PLY or CSV of one lambda, plus coordinate-curve
-polylines every --curves STRIDE rows and columns, and frame glyphs), sweep
-(several evaluation points from one frame build; a frame less unitary than
-verify's tolerance gets a warning) and oracle-sg (the characteristic march
-of oracles.goursat_solve on preset boundary data; it has no tolerance).
+Subcommands: generate (run the pipeline and write, per lambda, an OBJ or PLY
+mesh or a per-node CSV report, plus coordinate-curve polylines every --curves
+STRIDE rows and columns and frame glyphs along y = 0), verify (residuals of
+every checked identity against tolerances, JSON summary, exit 0 iff all
+pass), sweep (several evaluation points from one frame build; a frame less
+unitary than verify's tolerance gets a warning) and oracle-sg (the
+characteristic march of oracles.goursat_solve on preset boundary data; it has
+no tolerance).
 
 All floats are written with 17 significant digits so identical configurations
 produce byte-identical files; the writers format one grid row per "%" and
-build the quad face block once per grid shape. generate and sweep format two
-or more meshes in up to two worker processes while the next lambda is
-computed, and print the "wrote" lines in lambda order; a single mesh is
-written in process. Each per-lambda loop of generate, sweep and verify holds
-one surface: a lambda's SurfaceGrid and forms are released once its row and
-mesh job are handed over, before the next lambda's Sym runs. Imports sit at
-the top: the package applies the PSFRONT_THREADS override before numpy loads.
+build the quad face block once per grid shape. Every output file of generate
+and sweep --mesh is one (writer, path, args) job: with two or more lambda
+values the jobs are formatted in up to two worker processes while the next
+lambda is computed, and the "wrote" lines print in job order; the files of a
+single lambda are written in process. Each per-lambda loop of generate, sweep
+and verify holds one surface: a lambda's SurfaceGrid and forms are released
+once its row and file jobs are handed over, before the next lambda's Sym
+runs. Imports sit at the top: the package applies the PSFRONT_THREADS
+override before numpy loads.
 """
 
 import argparse
@@ -86,6 +89,9 @@ class RunConfig:
         if len(self.interval) != 2:
             raise ConfigError(f"interval must hold two numbers, got "
                               f"{len(self.interval)}")
+        if not all(map(math.isfinite, self.interval)):
+            raise ConfigError(f"interval must be finite, got "
+                              f"{list(self.interval)}")
         self.grid = _number("grid", grid, int)
         self.trunc = _number("trunc", trunc, int)
         self.lambdas = _numbers("lambdas", lambdas)
@@ -279,18 +285,19 @@ def _writer_pool():
 
 
 def _write_meshes(jobs, count):
-    """Call each writer(path, f) of the count jobs, printing "wrote path".
+    """Call each writer(path, *args) of the jobs, printing "wrote path".
 
-    With two or more, each runs in a worker process while the next job is
-    computed; at most two meshes per worker are in flight. The lines print in
-    job order as each mesh lands, and a worker's exception is re-raised here.
-    When a job or a worker fails, the meshes already handed over still land
-    and are reported before the error goes on. A single mesh has nothing to
-    overlap, and is written here: a pool costs more than it saves.
+    count is the number of surfaces the jobs come from. With two or more,
+    each job runs in a worker process while the next surface is computed; at
+    most two jobs per worker are in flight. The lines print in job order as
+    each file lands, and a worker's exception is re-raised here. When a job
+    or a worker fails, the files already handed over still land and are
+    reported before the error goes on. The files of a single surface have
+    nothing to overlap, and are written here: a pool costs more than it saves.
     """
     if count < 2:
-        for writer, path, f in jobs:
-            writer(path, f)
+        for writer, path, args in jobs:
+            writer(path, *args)
             print(f"wrote {path}")
         return
     pool, workers = _writer_pool()
@@ -302,10 +309,10 @@ def _write_meshes(jobs, count):
         print(f"wrote {path}")
 
     try:
-        for writer, path, f in jobs:
+        for writer, path, args in jobs:
             if len(pending) == 2 * workers:
                 land()
-            pending.append((path, pool.submit(writer, path, f)))
+            pending.append((path, pool.submit(writer, path, *args)))
         while pending:
             land()
     finally:
@@ -315,37 +322,6 @@ def _write_meshes(jobs, count):
         pool.shutdown()
 
 
-def read_ply(path):
-    """Parse an ASCII PLY written by write_ply; returns (vertices, faces)."""
-    with open(path) as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        nvert = nface = 0
-        element = None
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated header")
-            parts = line.split()
-            if parts[0] == "element":
-                element = parts[1]
-                if element == "vertex":
-                    nvert = int(parts[2])
-                elif element == "face":
-                    nface = int(parts[2])
-            elif parts[0] == "end_header":
-                break
-        verts = np.empty((nvert, 3))
-        for k in range(nvert):
-            verts[k] = [float(t) for t in fh.readline().split()]
-        faces = []
-        for _ in range(nface):
-            parts = fh.readline().split()
-            faces.append([int(t) for t in parts[1:1 + int(parts[0])]])
-    return verts, faces
-
-
 def write_csv(path, header, columns):
     """Per-node CSV; columns is a list of flat arrays in header order."""
     with open(path, "w", newline="\n") as fh:
@@ -353,37 +329,58 @@ def write_csv(path, header, columns):
         _write_rows(fh, np.column_stack(columns)[:, None, :], sep=",")
 
 
-def write_frame_glyphs(path, S, omega_field):
-    """Orthonormal frame (e1, e2, N) along the grid row closest to y = 0."""
+def _node_columns(S, rep, omega_field):
+    """Header and columns of the per-node CSV report."""
+    X, Y = np.meshgrid(S.x, S.y, indexing="ij")
+    header = ["x", "y", "fx", "fy", "fz", "Nx", "Ny", "Nz",
+              "E", "F", "G", "K", "omega"]
+    cols = [X.ravel(), Y.ravel()]
+    cols += [fld[..., k].ravel() for fld in (S.f, S.N) for k in range(3)]
+    cols += [rep.E.ravel(), rep.F.ravel(), rep.G.ravel(), rep.K.ravel(),
+             omega_field.ravel()]
+    return header, cols
+
+
+def _glyph_columns(S, omega_field):
+    """Header and columns of the orthonormal frame (e1, e2, N) along the grid
+    row closest to y = 0."""
     frame = analysis.complete_frame(analysis.tangent_frame(S), omega_field)
-    j0 = S.i0y
     header = ["x", "fx", "fy", "fz", "e1x", "e1y", "e1z",
               "e2x", "e2y", "e2z", "Nx", "Ny", "Nz"]
-    cols = [S.x]
-    for fld in (S.f, frame.e1, frame.e2, S.N):
-        for k in range(3):
-            cols.append(fld[:, j0, k])
-    write_csv(path, header, cols)
+    cols = [S.x] + [fld[:, S.i0y, k] for fld in (S.f, frame.e1, frame.e2, S.N)
+                    for k in range(3)]
+    return header, cols
 
 
 def cmd_generate(args):
     cfg = RunConfig.from_args(args)
+    if args.curves is not None and args.curves < 1:
+        raise ConfigError(f"--curves must be at least 1, got {args.curves}")
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
 
-    def meshes():
+    def jobs():
         for lam in cfg.lambdas:
             S = sym.sym_immersion(field, lam, conn)
             rep = analysis.fundamental_forms(S)
             if rep.regular_count == 0:
                 print(f"warning: surface at lambda={lam:g} is not regular "
                       "(image degenerates to a line)", file=sys.stderr)
-            stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
-            yield (write_ply if args.format == "ply" else write_obj,
-                   os.path.join(cfg.out, stem + "." + args.format), S.f)
-            del S, rep      # the job keeps S.f; free the rest before the next
+            stem = os.path.join(cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}")
+            if args.format == "csv":
+                yield (write_csv, stem + ".csv",
+                       _node_columns(S, rep, conn.omega))
+            else:
+                yield (write_ply if args.format == "ply" else write_obj,
+                       f"{stem}.{args.format}", (S.f,))
+            if args.curves is not None:
+                yield write_obj, stem + "_curves.obj", (S.f, args.curves)
+            if args.glyphs:
+                yield (write_csv, stem + "_glyphs.csv",
+                       _glyph_columns(S, conn.omega))
+            del S, rep      # the jobs keep their arrays; free the rest
 
-    _write_meshes(meshes(), len(cfg.lambdas))
+    _write_meshes(jobs(), len(cfg.lambdas))
     return 0
 
 
@@ -425,49 +422,6 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_export(args):
-    cfg = RunConfig.from_args(args)
-    if len(cfg.lambdas) != 1:
-        raise ConfigError(f"export writes one surface: give one --lambda "
-                          f"value, got {len(cfg.lambdas)}")
-    if args.curves is not None and args.curves < 1:
-        raise ConfigError(f"--curves must be at least 1, got {args.curves}")
-    os.makedirs(cfg.out, exist_ok=True)
-    field, conn = _build_state(cfg)
-    lam = cfg.lambdas[0]
-    S = sym.sym_immersion(field, lam, conn)
-    stem = f"{cfg.name}_lam{lam:g}_n{cfg.grid}"
-    written = []
-    path = os.path.join(cfg.out, stem + "." + args.format)
-    if args.format != "csv":
-        (write_ply if args.format == "ply" else write_obj)(path, S.f)
-    else:
-        rep = analysis.fundamental_forms(S)
-        X, Y = np.meshgrid(S.x, S.y, indexing="ij")
-        header = ["x", "y", "fx", "fy", "fz", "Nx", "Ny", "Nz",
-                  "E", "F", "G", "K", "omega"]
-        cols = [X.ravel(), Y.ravel()]
-        for k in range(3):
-            cols.append(S.f[..., k].ravel())
-        for k in range(3):
-            cols.append(S.N[..., k].ravel())
-        cols += [rep.E.ravel(), rep.F.ravel(), rep.G.ravel(), rep.K.ravel(),
-                 conn.omega.ravel()]
-        write_csv(path, header, cols)
-    written.append(path)
-    if args.curves is not None:
-        path = os.path.join(cfg.out, stem + "_curves.obj")
-        write_obj(path, S.f, curves_stride=args.curves)
-        written.append(path)
-    if args.glyphs:
-        path = os.path.join(cfg.out, stem + "_glyphs.csv")
-        write_frame_glyphs(path, S, conn.omega)
-        written.append(path)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
-
-
 def cmd_sweep(args):
     cfg = RunConfig.from_args(args)
     os.makedirs(cfg.out, exist_ok=True)
@@ -489,7 +443,7 @@ def cmd_sweep(args):
                         + [float(rep.regular_count)])
             if args.mesh:
                 yield (write_obj, os.path.join(
-                    cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), S.f)
+                    cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), (S.f,))
             del S, rep      # the job keeps S.f; free the rest before the next
 
     _write_meshes(meshes(), len(cfg.lambdas) if args.mesh else 0)
@@ -526,7 +480,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="psfront",
         description="Constant negative curvature fronts from loop group "
-                    "factorization: generate, verify and export.")
+                    "factorization: generate and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration file")
@@ -546,8 +500,13 @@ def build_parser():
                        help="Laurent truncation degree (default 16)")
 
     p = sub.add_parser("generate", parents=[common, frame],
-                       help="run the pipeline and write meshes")
-    p.add_argument("--format", choices=("obj", "ply"), default="obj")
+                       help="run the pipeline and write each lambda's mesh "
+                            "or per-node CSV report")
+    p.add_argument("--format", choices=("obj", "ply", "csv"), default="obj")
+    p.add_argument("--curves", type=int, nargs="?", const=16, metavar="STRIDE",
+                   help="also write every STRIDE-th coordinate curve (16)")
+    p.add_argument("--glyphs", action="store_true",
+                   help="also write the orthonormal frame along y = 0")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", parents=[common, frame],
@@ -556,16 +515,6 @@ def build_parser():
     p.add_argument("--tol", action="append", metavar="VAL|NAME=VAL",
                    help="override one tolerance (NAME=VAL) or all (VAL)")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("export", parents=[common, frame],
-                       help="write one lambda's surface mesh or per-node "
-                            "CSV report")
-    p.add_argument("--format", choices=("obj", "ply", "csv"), default="obj")
-    p.add_argument("--curves", type=int, nargs="?", const=16, metavar="STRIDE",
-                   help="also write every STRIDE-th coordinate curve (16)")
-    p.add_argument("--glyphs", action="store_true",
-                   help="also write the orthonormal frame along y = 0")
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("sweep", parents=[common, frame],
                        help="evaluate several lambda from one frame build")

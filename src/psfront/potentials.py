@@ -16,6 +16,8 @@ import numpy as np
 
 DEFAULT_STEP = 1.0 / 256.0
 DEFAULT_INTERVAL = (-4.0, 4.0)
+# 16x the 65 537 nodes of [-4, 4] at step 1/8192, the finest lattice tested
+MAX_LATTICE_NODES = 2 ** 20
 
 
 class DomainError(ValueError):
@@ -33,6 +35,10 @@ def _uniform_lattice(interval, step):
     if not math.isfinite(n):
         raise ValueError(f"potential interval {[lo, hi]} spans a non-finite "
                          f"number of steps of {step!r}")
+    if n + 1 > MAX_LATTICE_NODES:
+        raise ValueError(f"potential interval {[lo, hi]} at step {step!r} "
+                         f"needs {n + 1:.6g} lattice nodes, more than "
+                         f"{MAX_LATTICE_NODES}")
     if abs(n - round(n)) > 1e-9:
         raise ValueError(f"interval {interval} is not a whole number of steps {step}")
     n = int(round(n))

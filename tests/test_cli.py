@@ -5,6 +5,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,20 @@ from psfront import _threads, analysis, frames, loops, sym
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def read_ply(path):
+    """Vertices and faces of an ASCII PLY, counted by its element lines."""
+    lines = read_lines(path)
+    end = lines.index("end_header") + 1
+    count = {l.split()[1]: int(l.split()[2]) for l in lines[:end]
+             if l.startswith("element ")}
+    verts = np.loadtxt(path, skiprows=end, max_rows=count["vertex"], ndmin=2)
+    faces = np.loadtxt(path, dtype=int, skiprows=end + count["vertex"],
+                       ndmin=2)
+    assert faces.shape[0] == count["face"]
+    assert (faces[:, 0] == 4).all()
+    return verts, faces[:, 1:]
 
 
 # -- generate ----------------------------------------------------------------
@@ -60,10 +75,10 @@ def test_generate_ply_format(tmp_path):
     rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "17",
                    "--format", "ply", "--out", str(tmp_path)])
     assert rc == 0
-    verts, faces = cli.read_ply(tmp_path / "pseudosphere_lam1_n17.ply")
+    verts, faces = read_ply(tmp_path / "pseudosphere_lam1_n17.ply")
     assert verts.shape == (289, 3)
     assert len(faces) == 256
-    assert faces[0] == [0, 17, 18, 1]
+    assert faces[0].tolist() == [0, 17, 18, 1]
 
 
 # -- verify ------------------------------------------------------------------
@@ -181,11 +196,11 @@ def test_checks_match_the_benchmark_pins(verify_and_sweep, monkeypatch):
     assert verify_and_sweep[1][0].split(",") == bench.SWEEP_HEADER
 
 
-# -- export ------------------------------------------------------------------
+# -- generate's CSV report, curves and glyphs --------------------------------
 
 def test_export_csv_is_deterministic(tmp_path):
     for sub in ("a", "b"):
-        rc = cli.main(["export", "--preset", "pseudosphere", "--grid", "33",
+        rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "33",
                        "--format", "csv", "--out", str(tmp_path / sub)])
         assert rc == 0
     fa = (tmp_path / "a" / "pseudosphere_lam1_n33.csv").read_bytes()
@@ -197,7 +212,7 @@ def test_export_csv_is_deterministic(tmp_path):
 
 
 def test_export_frame_glyphs_are_orthonormal(tmp_path):
-    rc = cli.main(["export", "--preset", "pseudosphere", "--grid", "33",
+    rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "33",
                    "--glyphs", "--out", str(tmp_path)])
     assert rc == 0
     data = np.loadtxt(tmp_path / "pseudosphere_lam1_n33_glyphs.csv",
@@ -212,7 +227,7 @@ def test_export_coordinate_curves(tmp_path):
     # rows and columns 0, 8, 16 at stride 8; 0 and 16 at the default 16
     for stride, count in ((["8"], 6), ([], 4)):
         out = tmp_path / f"n{count}"
-        rc = cli.main(["export", "--preset", "pseudosphere", "--grid", "17",
+        rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "17",
                        "--curves", *stride, "--out", str(out)])
         assert rc == 0
         lines = read_lines(out / "pseudosphere_lam1_n17_curves.obj")
@@ -224,7 +239,7 @@ def test_export_coordinate_curves(tmp_path):
 def test_export_has_no_stride_flag(tmp_path, capsys):
     # the stride is --curves' own value, so it cannot be given without it
     with pytest.raises(SystemExit) as exc:
-        cli.main(["export", "--preset", "pseudosphere", "--grid", "17",
+        cli.main(["generate", "--preset", "pseudosphere", "--grid", "17",
                   "--stride", "4", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --stride 4" in capsys.readouterr().err
@@ -234,11 +249,18 @@ def test_ply_writer_round_trip(tmp_path):
     f = awkward_mesh(4, 3)              # nan, inf, -0.0, 1e300, subnormal
     path = tmp_path / "mesh.ply"
     cli.write_ply(path, f)
-    verts, faces = cli.read_ply(path)
+    verts, faces = read_ply(path)
     np.testing.assert_array_equal(verts, f.reshape(-1, 3))
     assert np.array_equal(np.signbit(verts), np.signbit(f.reshape(-1, 3)))
     assert len(faces) == 6
-    assert faces[0] == [0, 3, 4, 1]
+    assert faces[0].tolist() == [0, 3, 4, 1]
+
+
+def test_export_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", "--preset", "pseudosphere", "--grid", "17"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
 # -- writers against a per-line reference ----------------------------------
@@ -377,15 +399,23 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "must be positive and finite, got inf"),
     (["verify", "--preset", "pseudosphere", "--grid", "9", "--trunc", "65"],
      "truncation degree 65 exceeds maximum degree 64"),
-    (["export", "--preset", "pseudosphere", "--grid", "17",
-      "--lambda", "0.5,1,2"], "give one --lambda value, got 3"),
-    (["export", "--preset", "pseudosphere", "--grid", "17", "--curves",
+    (["verify", "--config", {"interval": [-2, "inf"], "grid": 9}],
+     "interval must be finite, got [-2.0, inf]"),
+    (["generate", "--preset", "pseudosphere", "--grid", "17", "--curves",
       "-3"], "--curves must be at least 1, got -3"),
-    (["export", "--preset", "pseudosphere", "--grid", "17", "--curves",
+    (["generate", "--preset", "pseudosphere", "--grid", "17", "--curves",
       "0"], "--curves must be at least 1, got 0"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
-    rc = cli.main(argv + ["--out", str(tmp_path)])
+    # a dict stands for a --config file holding it
+    config = tmp_path / "run.json"
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv = argv[:k] + [str(config)] + argv[k + 1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "psfront: error" in err
@@ -568,6 +598,22 @@ def test_readme_config_runs_as_written(tmp_path):
     assert spec.beta(1.0) == sides["beta"]["amplitude"]
 
 
+def test_readme_commands_parse():
+    # parsed only, never run: the README names no subcommand or flag that
+    # the parser has not got
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = [l.strip() for b in blocks for l in b.splitlines()
+             if l.strip().startswith("psfront ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
 def test_top_level_step_sets_the_preset_lattice(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"preset": "c0_kink", "amplitude": 0.5,
@@ -611,28 +657,40 @@ def test_out_path_under_a_regular_file_exits_2(tmp_path, capsys):
 # -- the mesh writer pool ----------------------------------------------------
 
 @pytest.mark.parametrize("command, fmt", [
-    ("sweep", "obj"), ("generate", "obj"), ("generate", "ply")])
+    ("sweep", "obj"), ("generate", "obj"), ("generate", "ply"),
+    ("generate", "csv")])
 def test_pool_writes_the_bytes_of_serial_writers(tmp_path, capsys, command,
                                                  fmt):
     lams = [2.0, 0.5, 1.5, 0.75, 1.0, 1.25]       # not sorted: order is kept
-    argv = ["--preset", "pseudosphere", "--grid", "17",
-            "--lambda", ",".join(map(repr, lams)), "--out", str(tmp_path)]
-    extra = ["--mesh"] if command == "sweep" else ["--format", fmt]
-    assert cli.main([command] + argv + extra) == 0
-    paths = [tmp_path / f"pseudosphere_lam{lam:g}_n17.{fmt}" for lam in lams]
-    wrote = [f"wrote {p}" for p in paths]
+    argv = [command, "--preset", "pseudosphere", "--grid", "17"]
+    argv += ["--mesh"] if command == "sweep" else ["--format", fmt]
+    suffixes = ["." + fmt]
+    if fmt == "csv":
+        argv += ["--curves", "--glyphs"]
+        suffixes += ["_curves.obj", "_glyphs.csv"]
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert cli.main(argv + ["--lambda", ",".join(map(repr, lams)),
+                            "--out", str(pooled)]) == 0
+    names = [f"pseudosphere_lam{lam:g}_n17{sfx}"
+             for lam in lams for sfx in suffixes]
+    wrote = [f"wrote {pooled / name}" for name in names]
     if command == "sweep":
-        wrote.append(f"wrote {tmp_path / 'sweep_pseudosphere_n17.csv'}")
+        wrote.append(f"wrote {pooled / 'sweep_pseudosphere_n17.csv'}")
     assert capsys.readouterr().out.splitlines() == wrote
     assert multiprocessing.active_children() == []
-    cfg = cli.RunConfig.from_args(cli.build_parser().parse_args(
-        [command] + argv))
-    field, conn = cli._build_state(cfg)
-    ref = tmp_path / "serial"
-    for lam, path in zip(lams, paths):
+    for lam in lams:                # one lambda is written in process
+        assert cli.main(argv + ["--lambda", repr(lam),
+                                "--out", str(serial)]) == 0
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+    if fmt == "csv":
+        return
+    field, conn = cli._build_state(cli.RunConfig(grid=17, lambdas=lams))
+    ref = tmp_path / "ref"          # a mesh is its writer's output
+    for lam, name in zip(lams, names):
         S = sym.sym_immersion(field, lam, conn)
         getattr(cli, "write_" + fmt)(ref, S.f)
-        assert path.read_bytes() == ref.read_bytes()
+        assert (pooled / name).read_bytes() == ref.read_bytes()
 
 
 def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
@@ -644,7 +702,7 @@ def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
         for k in range(12):
             landed.extend(capsys.readouterr().out.splitlines())
             assert k - len(landed) <= limit
-            yield cli.write_obj, tmp_path / f"m{k}.obj", f
+            yield cli.write_obj, tmp_path / f"m{k}.obj", (f,)
 
     cli._write_meshes(jobs(), 12)
     landed.extend(capsys.readouterr().out.splitlines())
@@ -686,6 +744,7 @@ def test_pool_without_affinity_or_fork(tmp_path, capsys, monkeypatch):
     ["sweep", "--lambda", "1,2"],                      # no --mesh
     ["sweep", "--lambda", "1", "--mesh"],
     ["generate"],                                      # one lambda
+    ["generate", "--format", "csv", "--curves", "--glyphs"],  # three files
 ])
 def test_fewer_than_two_meshes_start_no_pool(tmp_path, capsys, monkeypatch,
                                              argv):
@@ -697,9 +756,13 @@ def test_fewer_than_two_meshes_start_no_pool(tmp_path, capsys, monkeypatch,
                             "--out", str(tmp_path)]) == 0
     reported = [l.removeprefix("wrote ")
                 for l in capsys.readouterr().out.splitlines()]
-    meshes = sorted(str(p) for p in tmp_path.glob("*.obj"))
-    assert [p for p in reported if p.endswith(".obj")] == meshes
+    assert sorted(reported) == sorted(str(p) for p in tmp_path.iterdir())
+    meshes = [p for p in reported if p.endswith(".obj")]
     assert len(meshes) == (0 if argv[-1] == "1,2" else 1)
+    if "--glyphs" in argv:
+        assert [Path(p).name for p in reported] == [
+            "pseudosphere_lam1_n9" + sfx
+            for sfx in (".csv", "_curves.obj", "_glyphs.csv")]
 
 
 def written_and_reported(tmp_path, out):
@@ -745,7 +808,8 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--mesh"], ["generate"], ["verify", "--tol", "1"]])
+    ["sweep", "--mesh"], ["generate"], ["verify", "--tol", "1"],
+    ["generate", "--format", "csv", "--curves", "--glyphs"]])
 def test_one_surface_alive_per_lambda(tmp_path, monkeypatch, argv):
     # a lambda's surface and forms are released before the next is computed
     surface = sym.sym_immersion

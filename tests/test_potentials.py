@@ -100,6 +100,9 @@ def test_lattice_must_contain_origin():
     ((-4, 4), np.nan, "step must be positive and finite, got nan"),
     ((-4, np.inf), 0.25, "interval [-4.0, inf] spans a non-finite number"),
     ((-1e308, 1e308), 0.25, "spans a non-finite number of steps"),
+    # checked before the lattice is allocated
+    ((-1e300, 1e300), 0.25, "needs 8e+300 lattice nodes, more than 1048576"),
+    ((-4096, 4096), 1 / 256, "needs 2.09715e+06 lattice nodes, more than"),
 ])
 def test_lattice_rejects_a_degenerate_step_or_interval(interval, step, needle):
     zero = lambda t: np.zeros_like(np.asarray(t, float))
