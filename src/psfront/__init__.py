@@ -28,9 +28,7 @@ from .analysis import (FrameReport, GeometryReport, angle_field,
                        normal_sign_comparison, procrustes_align,
                        recover_boundary_angles, sine_gordon_residual,
                        tangent_frame)
-from .reparam import (ChebyshevError, ChebyshevResult, GraphPatch, PatchError,
-                      ReparamMap1D, chebyshev_normalize, graph_patch,
-                      graph_patch_evaluated)
+from .reparam import GraphPatch, PatchError, graph_patch, graph_patch_evaluated
 from .oracles import (ConvergenceError, GoursatSolution, goursat_solve,
                       pseudosphere_closed_form, pseudosphere_tangents)
 

@@ -10,16 +10,18 @@ characteristic march of oracles.goursat_solve on preset boundary data; it has
 no tolerance).
 
 All floats are written with 17 significant digits so identical configurations
-produce byte-identical files; the writers format one grid row per "%" and
-build the quad face block once per grid shape. Every output file of generate
-and sweep --mesh is one (writer, path, args) job: with two or more lambda
-values the jobs are formatted in up to two worker processes while the next
-lambda is computed, and the "wrote" lines print in job order; the files of a
-single lambda are written in process. Each per-lambda loop of generate, sweep
-and verify holds one surface: a lambda's SurfaceGrid and forms are released
-once its row and file jobs are handed over, before the next lambda's Sym
-runs. Imports sit at the top: the package applies the PSFRONT_THREADS
-override before numpy loads.
+produce byte-identical files. The writers format them one block of
+frames._row_blocks (about 1024 lines) at a time, by a numpy kernel whose
+bytes equal those of FMT = "%.17g"; FMT itself formats what lies outside the
+kernel's fixed-notation range. The quad face block is built once per grid
+shape. Every output file of generate and sweep --mesh is one (writer, path,
+args) job: with two or more lambda values the jobs are formatted in up to two
+worker processes while the next lambda is computed, and the "wrote" lines
+print in job order; the files of a single lambda are written in process.
+Each per-lambda loop of generate, sweep and verify holds one surface: a
+lambda's SurfaceGrid and forms are released once its row and file jobs are
+handed over, before the next lambda's Sym runs. Imports sit at the top: the
+package applies the PSFRONT_THREADS override before numpy loads.
 """
 
 import argparse
@@ -212,11 +214,100 @@ def _build_state(cfg):
 # ---------------------------------------------------------------------------
 # writers
 
-def _write_rows(fh, rows, prefix="", sep=" "):
-    """Write an (R, L, K) array as R*L lines of K floats, one "%" per row."""
-    template = (prefix + sep.join([FMT] * rows.shape[2]) + "\n") * rows.shape[1]
-    for row in rows:
-        fh.write(template % tuple(row.ravel().tolist()))
+# FMT in numpy. For 1e-4 <= |v| < 1e16, FMT writes v in fixed notation from
+# the half-even 17-digit significand D of |v| * 10^(16 - X), where X in
+# -4..15 is the decimal exponent of v, so 10^16 <= D < 10^17. The exact
+# powers 10^0..10^21 (21 for an X that log10 read one too low) are kept with
+# their Veltkamp split into 26-bit halves.
+_SPLITTER = 2.0 ** 27 + 1
+_POW10 = 10.0 ** np.arange(22)
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# A field is a subsequence of the 39 bytes "-0.000" d0 "." d1 "." ... "." d16,
+# which the line lays out 40 apart, each followed by its separator.
+_SPAN = b"-0.000" + b"0." * 16 + b"0"
+
+
+@functools.cache
+def _digit_tables():
+    """Built on first use: the ASCII of the four decimal digits of 0..9999,
+    one uint32 each; the count of their trailing zeros (4 for 0); and which
+    bytes of _SPAN and its separator FMT keeps, by (sign bit, X + 4, position
+    of the last nonzero digit), where D = 0 with X = 0 keeps FMT's "0"."""
+    digits = np.ix_(*[np.arange(10)] * 4)
+    ascii = np.stack(np.broadcast_arrays(*digits), -1) + ord("0")
+    z = [d == 0 for d in digits]
+    zeros = z[3] * (1 + z[2] * (1 + z[1] * (1 + z[0])))
+    s, X, last, j = np.ix_(range(2), range(-4, 16), range(17), range(40))
+    k = (j - 6) // 2                        # the digit at or before byte j
+    digit = (j >= 6) & (j % 2 == 0) & (k <= np.maximum(X, last))
+    point = (j >= 6) & (j % 2 == 1) & (k == X) & (last > X)
+    lead = (X < 0) & (j >= 1) & (j < 2 - X)     # "0.", then -X - 1 zeros
+    kept = (j == 0) & (s == 1) | lead | digit | point | (j == 39)
+    return (ascii.astype(np.uint8).reshape(-1, 4).view(np.uint32)[:, 0],
+            zeros.ravel(), kept)
+
+
+def _format_rows(rows, prefix=b"", sep=b" "):
+    """Bytes of the (R, K) floats as R lines: prefix, then the K fields joined
+    by sep; each field is byte-equal to FMT % v.
+
+    Dekker's two-product splits |v| * 10^(16 - X) exactly into p + e. In the
+    fixed range p is an even integer >= 2^53, so the half-even rounding of
+    p + e is p + rint(e); an X that log10 got wrong by one leaves that D
+    outside [10^16, 10^17). Zeros are laid out as D = 0. NaN, infinities,
+    those misses and the scientific range are formatted by FMT itself.
+    """
+    R, K = rows.shape
+    ascii, trailing, layout = _digit_tables()
+    v = np.asarray(rows, float).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    X = np.floor(np.log10(a)).astype(np.intp)
+    i = 16 - X
+    p = a * _POW10[i]
+    c = a * _SPLITTER
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _POW10_HI[i], _POW10_LO[i]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fast &= (D >= 10 ** 16) & (D < 10 ** 17)
+    D[~fast] = X[~fast] = 0
+    fast |= v == 0
+    q, g4 = np.divmod(D, 10 ** 4)
+    q, g3 = np.divmod(q, 10 ** 4)
+    q, g2 = np.divmod(q, 10 ** 4)
+    d0, g1 = np.divmod(q, 10 ** 4)
+    zeros = trailing[g4] + (g4 == 0) * (trailing[g3] + (g3 == 0) * (
+        trailing[g2] + (g2 == 0) * trailing[g1]))
+    line = prefix + sep.join([_SPAN] * K) + b"\n"
+    text = np.tile(np.frombuffer(line, np.uint8), (R, 1))
+    keep = np.ones(text.shape, bool)
+    fields = text[:, len(prefix):].reshape(R, K, 40)
+    field_keep = keep[:, len(prefix):].reshape(R, K, 40)
+    field_keep[:] = layout[np.signbit(v).astype(int), X + 4,
+                           16 - zeros].reshape(R, K, 40)
+    fields[..., 6] = (d0 + ord("0")).reshape(R, K)
+    fields[..., 8::2] = ascii[np.stack([g1, g2, g3, g4], -1)].view(
+        np.uint8).reshape(R, K, 16)
+    slow = np.flatnonzero(~fast)
+    # FMT % v is at most 24 bytes long; "S24" pads it with NUL
+    spelled = np.array([FMT % x for x in v[slow].tolist()], "S24").view(
+        np.uint8).reshape(-1, 24)
+    row, col = np.divmod(slow, K)
+    fields[row, col, :24] = spelled
+    field_keep[row, col, :39] = np.arange(39) < (spelled > 0).sum(1)[:, None]
+    return np.compress(keep.ravel(), text).tobytes()
+
+
+def _write_rows(fh, rows, prefix=b"", sep=b" "):
+    """Write an (R, L, K) array as R*L lines of K floats, one block of
+    frames._row_blocks (about frames.BLOCK_NODES lines) at a time."""
+    for block in frames._row_blocks(*rows.shape[:2]):
+        fh.write(_format_rows(rows[block].reshape(-1, rows.shape[2]),
+                              prefix, sep))
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,7 +316,7 @@ def _quad_faces(nx, ny, prefix, base):
     a = np.arange(base, base + ny - 1)
     quad = np.stack([a, a + ny, a + ny + 1, a + 1], axis=-1).ravel()
     template = (prefix + "%d %d %d %d\n") * (ny - 1)
-    return tuple(template % tuple((quad + i * ny).tolist())
+    return tuple((template % tuple((quad + i * ny).tolist())).encode()
                  for i in range(nx - 1))
 
 
@@ -238,29 +329,26 @@ def write_obj(path, f, curves_stride=None):
     of faces.
     """
     nx, ny = f.shape[:2]
-    with open(path, "w", newline="\n") as fh:
-        _write_rows(fh, f, prefix="v ")
+    with open(path, "wb") as fh:
+        _write_rows(fh, f, prefix=b"v ")
         if curves_stride is None:
             fh.writelines(_quad_faces(nx, ny, "f ", 1))
         else:
-            for i in range(0, nx, curves_stride):
-                idx = [str(i * ny + j + 1) for j in range(ny)]
-                fh.write("l " + " ".join(idx) + "\n")
-            for j in range(0, ny, curves_stride):
-                idx = [str(i * ny + j + 1) for i in range(nx)]
-                fh.write("l " + " ".join(idx) + "\n")
+            idx = np.arange(1, nx * ny + 1).reshape(nx, ny)
+            for curve in [*idx[::curves_stride], *idx.T[::curves_stride]]:
+                fh.write(f"l {' '.join(map(str, curve.tolist()))}\n".encode())
 
 
 def write_ply(path, f):
     """ASCII PLY quad mesh with double precision coordinates."""
     nx, ny = f.shape[:2]
     nquad = (nx - 1) * (ny - 1)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {nx * ny}\n")
-        fh.write("property double x\nproperty double y\nproperty double z\n")
-        fh.write(f"element face {nquad}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
+    with open(path, "wb") as fh:
+        fh.write(f"ply\nformat ascii 1.0\nelement vertex {nx * ny}\n"
+                 "property double x\nproperty double y\nproperty double z\n"
+                 f"element face {nquad}\n"
+                 "property list uchar int vertex_indices\nend_header\n"
+                 .encode())
         _write_rows(fh, f)
         fh.writelines(_quad_faces(nx, ny, "4 ", 0))
 
@@ -324,9 +412,11 @@ def _write_meshes(jobs, count):
 
 def write_csv(path, header, columns):
     """Per-node CSV; columns is a list of flat arrays in header order."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, np.column_stack(columns)[:, None, :], sep=",")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in frames._row_blocks(len(columns[0]), 1):
+            fh.write(_format_rows(
+                np.column_stack([c[block] for c in columns]), sep=b","))
 
 
 def _node_columns(S, rep, omega_field):

@@ -22,6 +22,8 @@ unitarity_residual) are the references the packed kernels are tested
 against; nothing in the pipeline calls them.
 """
 
+import functools
+
 import numpy as np
 
 DEFAULT_TRUNC = 16
@@ -196,15 +198,25 @@ def eval_coeffs(C, kmin, lam):
     return np.einsum("...dab,d->...ab", C, w.astype(complex))
 
 
+@functools.lru_cache(maxsize=8)
+def _eval_weights(kmin, n, lam):
+    """packed_eval's read-only (n, 4) weights of degrees kmin.. at lam, built
+    once per lam for a caller that evaluates block by block."""
+    degs = kmin + np.arange(n)
+    w = lam ** degs.astype(float)
+    even = degs % 2 == 0
+    W = np.stack([w * even, w * ~even, degs * w * even, degs * w * ~even],
+                 -1).astype(complex)
+    W.flags.writeable = False
+    return W
+
+
 def packed_eval(p, kmin, lam):
     """First rows (a, b) of U(lam) and (a_t, b_t) of dU/dt along lambda = e^t
     (degree k scaled by k) of packed real-form loops at a real lam, each
     (..., 2), from one contraction."""
-    degs = kmin + np.arange(p.shape[-1])
-    w = float(lam) ** degs.astype(float)
-    even = degs % 2 == 0
-    W = np.stack([w * even, w * ~even, degs * w * even, degs * w * ~even], -1)
-    ab = (p @ W.astype(complex)).reshape(p.shape[:-1] + (2, 2))
+    W = _eval_weights(kmin, p.shape[-1], float(lam))
+    ab = (p @ W).reshape(p.shape[:-1] + (2, 2))
     return ab[..., 0, :], ab[..., 1, :]
 
 

@@ -1,123 +1,22 @@
-"""Reparametrization tools: arc-length normalization and local graph patches.
+"""Local graph patches: curvature checked with no reference to the construction.
 
-chebyshev_normalize rescales the two parameter axes by their arc lengths so
-both families of parameter curves become unit speed; it refuses surfaces whose
-metric coefficients are not functions of one variable each, since that is the
-structural signature of the fronts built here. graph_patch writes a piece of
-the surface as a height field over its tangent plane, which is the form in
-which curvature can be checked without any reference to the construction that
-produced the surface.
+graph_patch writes a piece of the surface as a height field over its tangent
+plane, which is the form in which curvature can be checked without any
+reference to the construction that produced the surface.
 """
 
 import numpy as np
 
-from .analysis import cumtrapz_origin, d_x, d_y, spacing, tangents
-from .loops import sup_abs
-from .sym import SurfaceGrid
+from .analysis import d_x, d_y
 
 PATCH_NGRID = 33        # chart samples per side
 NEWTON_TOL = 1e-12      # preimage residual in chart coordinates
 NEWTON_MAX_ITER = 25
 
 
-class ChebyshevError(ValueError):
-    """Metric is not split (E a function of x, G of y): not a front of this kind."""
-
-
 class PatchError(RuntimeError):
     """Graph patch failed: near a cusp, across a fold, or Newton stalled."""
 
-
-class ReparamMap1D:
-    """Monotone coordinate map t -> s(t) sampled on grid nodes, s(0) = 0."""
-
-    def __init__(self, nodes, s):
-        self.nodes = np.asarray(nodes, float)
-        self.s = np.asarray(s, float)
-        if not np.all(np.diff(self.s) > 0):
-            raise ChebyshevError("reparametrization is not strictly monotone")
-        i0 = int(np.argmin(np.abs(self.nodes)))
-        if not abs(self.s[i0]) <= 1e-10:
-            raise ChebyshevError("reparametrization does not fix the origin")
-
-    def forward(self, t):
-        return np.interp(t, self.nodes, self.s)
-
-    def inverse(self, sv):
-        return np.interp(sv, self.s, self.nodes)
-
-    def __repr__(self):
-        return f"ReparamMap1D([{self.nodes[0]:g}, {self.nodes[-1]:g}])"
-
-
-class ChebyshevResult:
-    """Normalized surface with the two axis maps and the split-metric defects."""
-
-    def __init__(self, surface, map_x, map_y, variation_E, variation_G):
-        self.surface = surface
-        self.map_x = map_x
-        self.map_y = map_y
-        self.variation_E = variation_E
-        self.variation_G = variation_G
-
-
-def _resample(x, y, field, xs, ys):
-    return _SplineVec(x, y, field)(xs, ys, grid=True)
-
-
-def chebyshev_normalize(S):
-    """Reparametrize both axes by arc length; returns a ChebyshevResult.
-
-    E must depend only on x and G only on y, up to a tolerance that is tight
-    for exact tangent fields and O(h^2) for finite-difference ones; a larger
-    or NaN variation raises ChebyshevError.
-    The new parameters are s = int sqrt(E) dx and t = int sqrt(G) dy on
-    uniform grids of the original size, with fields resampled by cubic
-    splines and tangents rescaled by the chain rule. Running it twice gives
-    identity maps: the result already has unit-speed axes.
-    """
-    fx, fy = tangents(S)
-    E = np.einsum("...k,...k->...", fx, fx)
-    G = np.einsum("...k,...k->...", fy, fy)
-    hx, hy = spacing(S)
-    h = max(hx, hy)
-    analytic = S.fx is not None and S.fy is not None
-    var_tol = 1e-6 if analytic else max(1e-6, 25.0 * h * h)
-    E_row = E.mean(axis=1)
-    G_col = G.mean(axis=0)
-    var_E = sup_abs(E - E_row[:, None]) / max(1.0, sup_abs(E))
-    var_G = sup_abs(G - G_col[None, :]) / max(1.0, sup_abs(G))
-    if not (var_E <= var_tol and var_G <= var_tol):
-        raise ChebyshevError(
-            f"metric is not split: E varies {var_E:.3e} across rows, "
-            f"G varies {var_G:.3e} across columns (tol {var_tol:.1e})")
-    rootE, rootG = np.sqrt(E_row), np.sqrt(G_col)
-    s_of_x = cumtrapz_origin(rootE, hx, S.i0x)
-    t_of_y = cumtrapz_origin(rootG, hy, S.i0y)
-    map_x = ReparamMap1D(S.x, s_of_x)
-    map_y = ReparamMap1D(S.y, t_of_y)
-    s_new = np.linspace(s_of_x[0], s_of_x[-1], len(S.x))
-    t_new = np.linspace(t_of_y[0], t_of_y[-1], len(S.y))
-    xs = map_x.inverse(s_new)
-    ys = map_y.inverse(t_new)
-    f_new = _resample(S.x, S.y, S.f, xs, ys)
-    N_new = _resample(S.x, S.y, S.N, xs, ys)
-    N_new /= np.linalg.norm(N_new, axis=-1, keepdims=True)
-    kwargs = {}
-    if S.fx is not None:
-        dx_ds = 1.0 / np.interp(xs, S.x, rootE)
-        dy_dt = 1.0 / np.interp(ys, S.y, rootG)
-        kwargs["fx"] = _resample(S.x, S.y, S.fx, xs, ys) * dx_ds[:, None, None]
-        kwargs["fy"] = _resample(S.x, S.y, S.fy, xs, ys) * dy_dt[None, :, None]
-        if S.Nx is not None:
-            kwargs["Nx"] = _resample(S.x, S.y, S.Nx, xs, ys) * dx_ds[:, None, None]
-            kwargs["Ny"] = _resample(S.x, S.y, S.Ny, xs, ys) * dy_dt[None, :, None]
-    out = SurfaceGrid(s_new, t_new, 1.0, f_new, N_new, **kwargs)
-    return ChebyshevResult(out, map_x, map_y, var_E, var_G)
-
-
-# ---------------------------------------------------------------------------
-# graph patch
 
 def _rotation_to_vertical(n0):
     """Proper rotation taking the unit vector n0 to (0, 0, 1)."""

@@ -11,11 +11,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import psfront as pf
 from psfront import loops
 
 LAMBDAS = (0.5, 1.0, 2.0)
+
+# one profile for every property test: no per-example deadline, since a
+# shared build or a cold numpy call in an example can outlast the default
+settings.register_profile("psfront", deadline=None)
+settings.load_profile("psfront")
 
 
 def build_run(spec, n, half=2.0, n_trunc=16, lambdas=(1.0,)):

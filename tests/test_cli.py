@@ -1,6 +1,7 @@
 """Command line driver, exercised in process through main(argv)."""
 
 import collections
+import decimal
 import importlib.util
 import json
 import multiprocessing
@@ -8,12 +9,15 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import psfront
 import psfront.cli as cli
@@ -322,6 +326,100 @@ def test_writers_match_per_line_reference(tmp_path, nx, ny):
     want = "a,b,c,k\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                  for row in zip(*cols))
     assert (tmp_path / "m.csv").read_bytes() == want.encode()
+
+
+# -- the FMT kernel against "%.17g" ------------------------------------------
+
+def assert_formats_like_fmt(values):
+    """Each value, one per line, as the kernel writes it and as "%.17g"."""
+    flat = np.asarray(values, float).ravel()
+    for block in np.array_split(flat, -(-flat.size // 2 ** 16)):
+        got = cli._format_rows(block[:, None])
+        want = b"".join(b"%.17g\n" % v for v in block.tolist())
+        if got != want:
+            bad = [(v, g, w) for v, g, w in zip(
+                block.tolist(), got.splitlines(), want.splitlines()) if g != w]
+            pytest.fail(f"{len(bad)} fields differ from %.17g: {bad[:3]}")
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=6))
+def test_kernel_matches_fmt_on_any_float(values):
+    # st.floats() draws NaN, both infinities, both zeros and subnormals
+    want = b"v " + b" ".join(b"%.17g" % v for v in values) + b"\n"
+    assert cli._format_rows(np.array([values]), b"v ", b" ") == want
+
+
+def test_kernel_matches_fmt_on_random_bit_patterns():
+    # half of the patterns are raw 64-bit words (NaN payloads, subnormals,
+    # the scientific range); the other half keep their sign and mantissa
+    # bits under an exponent from 2^-20 to 2^60, across both ends of the
+    # fixed range 1e-4 <= |v| < 1e16
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2 ** 64, 2 ** 20, np.uint64)
+    exponent = rng.integers(1023 - 20, 1023 + 60, 2 ** 19).astype(np.uint64)
+    bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)
+                 | exponent << np.uint64(52))
+    values = bits.view(np.float64)
+    assert np.signbit(values).mean() == pytest.approx(0.5, abs=0.01)
+    assert_formats_like_fmt(values)
+
+
+def test_kernel_matches_fmt_at_powers_of_ten():
+    # 1e-4 and 1e16 bound the fixed range; each power and the doubles next
+    # to it, with both signs
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    near = np.concatenate([powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf)])
+    assert_formats_like_fmt(np.concatenate([near, -near]))
+
+
+def test_kernel_rounds_halfway_cases_to_even():
+    # v = m 2^-j with m odd and 10^(17-j) <= v < 10^(18-j) has 18
+    # significant digits, the last a 5: its 17-digit rounding is a tie
+    rng = np.random.default_rng(27)
+    values = []
+    for j in range(2, 22):
+        lo = -(-10 ** 17 * 2 ** j // 10 ** j)
+        hi = min(10 ** 18 * 2 ** j // 10 ** j, 2 ** 53)
+        m = rng.integers(lo, hi, 5000) | 1
+        v = np.ldexp(m.astype(float), -j)
+        digits = decimal.Decimal(v[0]).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+        values += [v, -v]
+    assert_formats_like_fmt(values)
+
+
+@pytest.mark.parametrize("prefix, sep", [(b"v ", b" "), (b"", b",")])
+def test_kernel_row_mixes_fixed_and_fmt_fields(prefix, sep):
+    row = [1.5, np.nan, -0.0, 1e-300, 123456789.125, -np.inf, 1e16,
+           9.999e-5, 0.0, -2.5e-4, 5e-324, 0.1]
+    want = prefix + sep.join(b"%.17g" % v for v in row) + b"\n"
+    assert cli._format_rows(np.array([row, row[::-1]]), prefix, sep) == (
+        want + prefix + sep.join(b"%.17g" % v for v in row[::-1]) + b"\n")
+
+
+def writer_peaks(tmp_path, n):
+    """Traced peak bytes of write_obj and write_csv on an n x n mesh and its
+    three coordinate columns, which the caller holds."""
+    f = np.random.default_rng(n).normal(size=(n, n, 3))
+    cols = [f[..., k].ravel() for k in range(3)]
+    cli.write_obj(tmp_path / "m.obj", f)    # the face block is cached per shape
+    peaks = []
+    for write in (lambda: cli.write_obj(tmp_path / "m.obj", f),
+                  lambda: cli.write_csv(tmp_path / "m.csv", "xyz", cols)):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return np.array(peaks)
+
+
+def test_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    # the rows are formatted one block of about 1024 lines at a time
+    assert (writer_peaks(tmp_path, 513)
+            <= writer_peaks(tmp_path, 129) + 2 ** 20).all()
 
 
 # -- sweep and oracle --------------------------------------------------------

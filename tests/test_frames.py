@@ -292,6 +292,16 @@ def small_families(n=17, n_trunc=16):
             pf.integrate_half_frame(spec, "y", x, n_trunc=n_trunc))
 
 
+def test_unitarity_gate_builds_one_weight_table_per_lambda():
+    # the gate evaluates each block's U_hat at lambda in {1/2, 1, 2}
+    up, um = small_families(65)
+    loops._eval_weights.cache_clear()
+    pf.build_frame_field(up, um)
+    info = loops._eval_weights.cache_info()
+    blocks = len(frames._row_blocks(65, 65))
+    assert (info.misses, info.hits) == (3, 3 * blocks - 3)
+
+
 @pytest.mark.parametrize("axis, node, degree", [("x", 3, 2), ("y", 4, 7)])
 def test_family_with_nan_rejected(axis, node, degree):
     up, um = small_families()

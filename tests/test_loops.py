@@ -57,7 +57,7 @@ def test_degree_one_rotation_squares_to_minus_lambda_squared():
     np.testing.assert_allclose(sq[0], -I2, atol=1e-15)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(-6, 0), st.integers(0, 5), st.integers(-6, 0),
        st.integers(0, 5), st.integers(-10, 0), st.integers(0, 12),
        st.integers(0, 2 ** 31 - 1))
@@ -76,7 +76,7 @@ def test_product_coefficients_match_brute_force(amin, alen, bmin, blen,
     assert loops.sup_abs(got - want) < 1e-13 * max(1.0, loops.sup_abs(want))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(-6, 0), st.integers(0, 5), st.integers(-6, 0),
        st.integers(0, 5), st.integers(-10, 0), st.integers(0, 12),
        st.integers(0, 2 ** 31 - 1))
@@ -96,7 +96,7 @@ def test_packed_product_matches_full_product(amin, alen, bmin, blen,
     assert np.array_equal(adj, loops.adjugate_coeffs(A))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(-6, 0), st.integers(0, 5), st.floats(0.25, 4.0),
        st.integers(0, 2 ** 31 - 1))
 def test_packed_eval_matches_full_eval(kmin, klen, lam, seed):
@@ -264,7 +264,7 @@ def test_scaled_identity_is_flagged():
     assert loops.unitarity_residual(U) >= 0.21 - 1e-12
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(-6, 0), st.integers(0, 5), st.floats(0.5, 2.0),
        st.integers(0, 1), st.integers(0, 2 ** 31 - 1))
 def test_packed_unitarity_matches_unitarity_residual(kmin, klen, lam, entry,

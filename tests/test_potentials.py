@@ -193,7 +193,7 @@ def preset_of(side):
     return side["preset"], side.get("amplitude", 1.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(sides, sides,
        st.sampled_from([((-4, 4), 1 / 256), ((-1, 3), 0.25),
                         ((-2, 0.5), 0.5)]))

@@ -1,83 +1,10 @@
-"""Arc-length normalization and tangent-plane graph charts."""
+"""Tangent-plane graph charts."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
 import psfront as pf
-
-
-# -- chebyshev normalization -------------------------------------------------
-
-def test_normalize_rescales_stretched_member(ps_run):
-    # |f_x| = 2 and |f_y| = 1/2 are constant at lam = 2, so both maps are
-    # linear and the normalized metric is the unit one
-    S = ps_run.surfaces[2.0]
-    res = pf.chebyshev_normalize(S)
-    assert res.variation_E < 1e-12
-    assert res.variation_G < 1e-12
-    assert np.abs(res.map_x.forward(S.x) - 2.0 * S.x).max() < 1e-10
-    assert np.abs(res.map_y.forward(S.y) - 0.5 * S.y).max() < 1e-10
-    out = res.surface
-    E = np.einsum("...k,...k->...", out.fx, out.fx)
-    G = np.einsum("...k,...k->...", out.fy, out.fy)
-    assert np.abs(E - 1.0).max() < 1e-9
-    assert np.abs(G - 1.0).max() < 1e-9
-    g = pf.fundamental_forms(out)
-    assert g.regular.any()
-    assert np.nanmax(np.abs(g.K + 1.0)) < 1e-8
-
-
-def test_normalize_is_idempotent(ps_run):
-    res = pf.chebyshev_normalize(ps_run.surfaces[2.0])
-    res2 = pf.chebyshev_normalize(res.surface)
-    s, t = res.surface.x, res.surface.y
-    assert np.abs(res2.map_x.forward(s) - s).max() < 1e-9
-    assert np.abs(res2.map_y.forward(t) - t).max() < 1e-9
-    assert np.abs(res2.surface.f - res.surface.f).max() < 1e-8
-
-
-def test_normalize_rejects_unsplit_metric():
-    # z = x y has E = 1 + y^2: not a function of x alone
-    x = np.linspace(-1.0, 1.0, 33)
-    y = np.linspace(-1.0, 1.0, 33)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    f = np.stack([X, Y, X * Y], axis=-1)
-    N = np.stack([-Y, -X, np.ones_like(X)], axis=-1)
-    N /= np.linalg.norm(N, axis=-1, keepdims=True)
-    S = pf.SurfaceGrid(x, y, 1.0, f, N)
-    with pytest.raises(pf.ChebyshevError, match="not split"):
-        pf.chebyshev_normalize(S)
-
-
-def test_reparam_map_rejects_bad_data():
-    nodes = np.linspace(-1.0, 1.0, 9)
-    with pytest.raises(pf.ChebyshevError, match="monotone"):
-        pf.ReparamMap1D(nodes, np.abs(nodes))
-    with pytest.raises(pf.ChebyshevError, match="origin"):
-        pf.ReparamMap1D(nodes, nodes + 0.5)
-    s = nodes.copy()
-    s[4] = np.nan                                  # the origin node
-    with pytest.raises(pf.ChebyshevError):
-        pf.ReparamMap1D(nodes, s)
-
-
-def test_normalize_rejects_nan_variation():
-    x = np.linspace(-1.0, 1.0, 33)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    f = np.stack([X, Y, np.zeros_like(X)], axis=-1)
-    f[10, 20] = np.nan
-    N = np.broadcast_to(np.array([0.0, 0.0, 1.0]), f.shape)
-    S = pf.SurfaceGrid(x, x, 1.0, f, N)
-    with pytest.raises(pf.ChebyshevError, match="not split"):
-        pf.chebyshev_normalize(S)
-
-
-def test_reparam_map_round_trip():
-    nodes = np.linspace(-2.0, 2.0, 65)
-    m = pf.ReparamMap1D(nodes, np.sinh(nodes))
-    pts = np.linspace(-1.9, 1.9, 41)
-    assert np.abs(m.inverse(m.forward(pts)) - pts).max() < 1e-12
 
 
 # -- graph patches -----------------------------------------------------------

@@ -219,6 +219,15 @@ def test_one_frame_evaluation_per_lambda(ps_run, monkeypatch):
         + [((129, m), 2.0)] + [(s, 2.0) for s in per_lambda]
 
 
+def test_one_weight_table_per_lambda(ps_run):
+    # every block of L_minus is contracted against the same weight table,
+    # built once per lambda, as is U_plus's
+    loops._eval_weights.cache_clear()
+    pf.sym_immersion(ps_run.field, 0.75, conn=ps_run.conn)
+    info = loops._eval_weights.cache_info()
+    assert (info.misses, info.hits) == (2, 18)
+
+
 @pytest.mark.parametrize("block", ["under one line", "5 lines + 3", "all"])
 def test_sym_block_size_does_not_change_a_bit(monkeypatch, block):
     # every block runs the same elementwise arithmetic on arrays of the
@@ -298,7 +307,7 @@ def packed_frame(a, b):
 unit_range = st.floats(-2.0, 2.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.tuples(unit_range, unit_range, unit_range, unit_range)
        .filter(lambda c: 0.1 <= sum(v * v for v in c)),
        st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
