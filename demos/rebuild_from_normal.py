@@ -9,13 +9,14 @@ given normal field is consistent with any front at all.
 import numpy as np
 
 import psfront as pf
+from psfront.analysis import d_x, d_y
 
 x = np.linspace(-2.0, 2.0, 129)
 f_ref, N, omega = pf.pseudosphere_closed_form(x, x)
 fx_ref, fy_ref = pf.pseudosphere_tangents(x, x)
 h = float(x[1] - x[0])
 
-f_rec, closure = pf.front_from_normal(N, h, h)
+f_rec, closure = pf.front_from_normal(N, h, h, d_x(N, h), d_y(N, h))
 diff = f_rec - f_ref
 diff -= diff.reshape(-1, 3).mean(axis=0)
 print(f"from finite-difference normal derivatives:")
@@ -44,6 +45,6 @@ bad /= np.linalg.norm(bad, axis=-1, keepdims=True)
 import warnings
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    _, closure3 = pf.front_from_normal(bad, h, h)
+    _, closure3 = pf.front_from_normal(bad, h, h, d_x(bad, h), d_y(bad, h))
 print(f"a made-up normal field is flagged: circulation "
       f"{closure3.max():.3e}, warned: {len(caught) > 0}")

@@ -22,12 +22,11 @@ from .frames import (ConnectionField, ConnectionShapeError, FrameField,
                      integrate_half_frame, truncation_tail, zcc_residual)
 from .sym import (E1, E2, E3, StructureError, SurfaceGrid, su2_to_r3,
                   sym_immersion)
-from .analysis import (FrameReport, GeometryReport, angle_field,
-                       asymptotic_torsion, complete_frame, front_from_normal,
-                       fundamental_forms, harmonicity_residual,
-                       normal_sign_comparison, procrustes_align,
-                       recover_boundary_angles, sine_gordon_residual,
-                       tangent_frame)
+from .analysis import (GeometryReport, angle_field, asymptotic_torsion,
+                       complete_frame, front_from_normal, fundamental_forms,
+                       harmonicity_residual, normal_sign_comparison,
+                       procrustes_align, recover_boundary_angles,
+                       sine_gordon_residual, tangent_frame)
 from .reparam import GraphPatch, PatchError, graph_patch, graph_patch_evaluated
 from .oracles import (ConvergenceError, GoursatSolution, goursat_solve,
                       pseudosphere_closed_form, pseudosphere_tangents)

@@ -1,9 +1,9 @@
 """Geometric verification: fundamental forms, angle field, torsion, integrability.
 
 Everything here consumes a SurfaceGrid and reports how well it satisfies the
-identities a constant-curvature front must satisfy. The ops prefer the exact
-tangent and normal-derivative fields attached by the builder when present and
-fall back to order-2 finite differences, so the same checks run on surfaces
+identities a constant-curvature front must satisfy. The ops read S.fx, S.fy,
+S.Nx and S.Ny: exact fields from Sym, or SurfaceGrid's order-2 differences
+d_x and d_y for a surface given as arrays, so the same checks run on surfaces
 from any source. CHECKS is the table of the residuals psfront verify gates,
 each with its name and default tolerance.
 """
@@ -54,14 +54,6 @@ def spacing(grid):
     return float(grid.x[1] - grid.x[0]), float(grid.y[1] - grid.y[0])
 
 
-def tangents(S):
-    """Exact tangent fields when attached to S, else finite differences of f."""
-    if S.fx is not None and S.fy is not None:
-        return S.fx, S.fy
-    hx, hy = spacing(S)
-    return d_x(S.f, hx), d_y(S.f, hy)
-
-
 def _dot(a, b):
     return np.einsum("...k,...k->...", a, b)
 
@@ -96,17 +88,11 @@ class GeometryReport:
 def fundamental_forms(S):
     """Both fundamental forms and Gauss curvature of a surface grid.
 
-    The tangent and normal-derivative fields attached to S are used when
-    present, finite differences otherwise. For the surfaces built here
-    EG - F^2 = sin^2 of the asymptotic angle, so the regularity threshold
-    REG_THRESHOLD = 0.01 excludes nodes within |sin| <= 0.1 of a cusp line.
+    For the surfaces built here EG - F^2 = sin^2 of the asymptotic angle,
+    so the regularity threshold REG_THRESHOLD = 0.01 excludes nodes within
+    |sin| <= 0.1 of a cusp line.
     """
-    fx, fy = tangents(S)
-    if S.Nx is not None and S.Ny is not None:
-        Nx, Ny = S.Nx, S.Ny
-    else:
-        hx, hy = spacing(S)
-        Nx, Ny = d_x(S.N, hx), d_y(S.N, hy)
+    fx, fy, Nx, Ny = S.fx, S.fy, S.Nx, S.Ny
     E = _dot(fx, fx)
     F = _dot(fx, fy)
     G = _dot(fy, fy)
@@ -123,73 +109,57 @@ def fundamental_forms(S):
 # ---------------------------------------------------------------------------
 # adapted frame and angle field
 
-class FrameReport:
-    """Orthonormal adapted frame along the surface.
+def _det_defect(a, b, N):
+    """sup |det(a, b, N) - 1| over the nodes; NaN if any node is NaN."""
+    return sup_abs(_dot(np.cross(a, b), N) - 1.0)
 
-    tx is the unit x tangent, fxp = N x tx completes the tangent plane; after
-    the angle field is known, e1 and e2 are the frame turned by theta = omega/2
-    so that the asymptotic directions sit symmetrically about e1.
+
+def tangent_frame(fx, N):
+    """Unit x tangent tx and its in-plane normal rotation fxp = N x tx.
+
+    fx and N are (..., 3) fields, a whole grid or one row of it. The x
+    tangent is projected off the normal before normalizing, so the triple
+    (tx, fxp, N) has unit determinant to rounding whether fx is exact or a
+    finite difference; a defect above DET_TOL (or NaN) raises ValueError.
     """
-
-    def __init__(self, tx, fxp, N, theta=None, e1=None, e2=None):
-        self.tx = tx
-        self.fxp = fxp
-        self.N = N
-        self.theta = theta
-        self.e1 = e1
-        self.e2 = e2
-
-    def det_defects(self):
-        d1 = sup_abs(_dot(np.cross(self.tx, self.fxp), self.N) - 1.0)
-        if self.e1 is None:
-            return d1, None
-        d2 = sup_abs(_dot(np.cross(self.e1, self.e2), self.N) - 1.0)
-        return d1, d2
-
-
-def tangent_frame(S):
-    """Unit x tangent and its in-plane normal rotation, orthonormalized.
-
-    The x tangent is projected off the normal before normalizing, so the
-    triple (tx, fxp, N) has unit determinant to rounding regardless of whether
-    the tangents are exact or finite differences; a defect above DET_TOL
-    (or NaN) raises ValueError.
-    """
-    fx, _ = tangents(S)
-    tx = fx - S.N * _dot(fx, S.N)[..., None]
+    tx = fx - N * _dot(fx, N)[..., None]
     tx = tx / np.linalg.norm(tx, axis=-1, keepdims=True)
-    fxp = np.cross(S.N, tx)
-    frame = FrameReport(tx, fxp, S.N)
-    d1, _ = frame.det_defects()
-    if not d1 <= DET_TOL:
-        raise ValueError(f"adapted frame determinant defect {d1:.3e}")
-    return frame
+    fxp = np.cross(N, tx)
+    defect = _det_defect(tx, fxp, N)
+    if not defect <= DET_TOL:
+        raise ValueError(f"adapted frame determinant defect {defect:.3e}")
+    return tx, fxp
 
 
-def angle_field(S, frame):
-    """Unwrapped angle from the x tangent to the y tangent.
+def angle_field(S):
+    """Unwrapped angle from the x tangent to the y tangent of S.
 
     atan2 against the adapted frame, unwrapped column-wise along x and then
     along y, with the branch fixed so the origin value lands in [0, 2 pi).
     """
-    _, fy = tangents(S)
-    omega = np.arctan2(_dot(fy, frame.fxp), _dot(fy, frame.tx))
+    tx, fxp = tangent_frame(S.fx, S.N)
+    omega = np.arctan2(_dot(S.fy, fxp), _dot(S.fy, tx))
     omega = np.unwrap(np.unwrap(omega, axis=0), axis=1)
     omega -= 2.0 * np.pi * np.floor(omega[S.i0x, S.i0y] / (2.0 * np.pi))
     return omega
 
 
-def complete_frame(frame, omega):
-    """Turn the adapted frame by half the angle field; validates determinants."""
+def complete_frame(fx, N, omega):
+    """The adapted frame turned by half the angle field: (e1, e2).
+
+    The asymptotic directions sit symmetrically about e1. Gated as
+    tangent_frame, and then the turned triple (e1, e2, N) too: a determinant
+    defect above DET_TOL (or a NaN angle) raises ValueError.
+    """
+    tx, fxp = tangent_frame(fx, N)
     theta = 0.5 * omega
     c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    e1 = c * frame.tx + s * frame.fxp
-    e2 = -s * frame.tx + c * frame.fxp
-    out = FrameReport(frame.tx, frame.fxp, frame.N, theta, e1, e2)
-    d1, d2 = out.det_defects()
-    if not (d1 <= DET_TOL and d2 <= DET_TOL):
-        raise ValueError(f"frame determinant defects {d1:.3e}, {d2:.3e}")
-    return out
+    e1 = c * tx + s * fxp
+    e2 = -s * tx + c * fxp
+    defect = _det_defect(e1, e2, N)
+    if not defect <= DET_TOL:
+        raise ValueError(f"turned frame determinant defect {defect:.3e}")
+    return e1, e2
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +184,9 @@ def harmonicity_residual(S, omega):
     return residual, h_harm
 
 
-def asymptotic_torsion(S, direction="x"):
-    """Torsion of the parameter curves, order-4 stencils, margin of 3 nodes.
+def asymptotic_torsion(S, direction):
+    """Torsion of the direction ("x" or "y") parameter curves, order-4
+    stencils, margin of 3 nodes.
 
     Nodes whose curvature vector norm ||c' x c''|| falls at or below
     TORSION_SKIP are NaN (torsion is undefined on straight segments).
@@ -289,19 +260,16 @@ CHECKS = (
 )
 
 
-def front_from_normal(N, hx, hy, Nx=None, Ny=None):
+def front_from_normal(N, hx, hy, Nx, Ny):
     """Reconstruct the front from its normal field by path integration.
 
-    Tangents are N x N_x and -N x N_y (finite differences of N when the exact
-    derivatives are not supplied). Integration starts at the grid center, runs
-    along its row first and then along each column; the per-cell circulation
-    of the tangent one-form is returned alongside, and a warning is issued
-    when it exceeds CLOSURE_TOL or is NaN (a non-integrable normal field).
+    Tangents are N x N_x and -N x N_y, from the normal derivatives given:
+    exact, or d_x(N, hx) and d_y(N, hy). Integration starts at the grid
+    center, runs along its row first and then along each column; the per-cell
+    circulation of the tangent one-form is returned alongside, and a warning
+    is issued when it exceeds CLOSURE_TOL or is NaN (a non-integrable normal
+    field).
     """
-    if Nx is None:
-        Nx = d_x(N, hx)
-    if Ny is None:
-        Ny = d_y(N, hy)
     fx = np.cross(N, Nx)
     fy = -np.cross(N, Ny)
     i0, j0 = N.shape[0] // 2, N.shape[1] // 2
@@ -326,8 +294,7 @@ def normal_sign_comparison(S, omega):
     per-node sign of their inner product, the comparison mask and the largest
     deviation on it.
     """
-    fx, fy = tangents(S)
-    cr = np.cross(fx, fy)
+    cr = np.cross(S.fx, S.fy)
     nrm = np.linalg.norm(cr, axis=-1, keepdims=True)
     mask = np.abs(np.sin(omega)) > 0.1
     N_std = cr / np.maximum(nrm, 1e-30)

@@ -13,11 +13,12 @@ All floats are written with 17 significant digits so identical configurations
 produce byte-identical files. The writers format them one block of
 frames._row_blocks (about 1024 lines) at a time, by a numpy kernel whose
 bytes equal those of FMT = "%.17g"; FMT itself formats what lies outside the
-kernel's fixed-notation range. The quad face block is built once per grid
-shape. Every output file of generate and sweep --mesh is one (writer, path,
-args) job: with two or more lambda values the jobs are formatted in up to two
-worker processes while the next lambda is computed, and the "wrote" lines
-print in job order; the files of a single lambda are written in process.
+kernel's fixed-notation range. The quad face text of the last grid shape
+written is kept, as a run writes one grid shape. Every output file of
+generate and sweep --mesh is one (writer, path, args) job: with two or more
+lambda values the jobs are formatted in up to two worker processes while the
+next lambda is computed, and the "wrote" lines print in job order; the files
+of a single lambda are written in process.
 Each per-lambda loop of generate, sweep and verify holds one surface: a
 lambda's SurfaceGrid and forms are released once its row and file jobs are
 handed over, before the next lambda's Sym runs. Imports sit at the top: the
@@ -54,17 +55,25 @@ class ConfigError(ValueError):
     """Run configuration violates a structural requirement."""
 
 
-def _number(key, value, kind):
+def _number(key, value):
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(key, value):
+    """value as an int; a number with a fractional part raises ConfigError."""
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _numbers(key, value):
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(_number(f"{key} entry", v, float) for v in value)
+    return tuple(_number(f"{key} entry", v) for v in value)
 
 
 class RunConfig:
@@ -85,7 +94,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a string, got {value!r}")
         self.preset = preset
         self.amplitude = (None if amplitude is None
-                          else _number("amplitude", amplitude, float))
+                          else _number("amplitude", amplitude))
         self.potential = potential
         self.interval = _numbers("interval", interval)
         if len(self.interval) != 2:
@@ -94,8 +103,8 @@ class RunConfig:
         if not all(map(math.isfinite, self.interval)):
             raise ConfigError(f"interval must be finite, got "
                               f"{list(self.interval)}")
-        self.grid = _number("grid", grid, int)
-        self.trunc = _number("trunc", trunc, int)
+        self.grid = _integer("grid", grid)
+        self.trunc = _integer("trunc", trunc)
         self.lambdas = _numbers("lambdas", lambdas)
         self.tolerances = {name: tol for name, tol, _ in analysis.CHECKS}
         if not isinstance(tolerances, (dict, type(None))):
@@ -104,9 +113,9 @@ class RunConfig:
         for k, v in (tolerances or {}).items():
             if k not in self.tolerances:
                 raise ConfigError(f"unknown tolerance name '{k}'")
-            self.tolerances[k] = _number(f"tolerance '{k}'", v, float)
+            self.tolerances[k] = _number(f"tolerance '{k}'", v)
         self.out = out
-        self.step = None if step is None else _number("step", step, float)
+        self.step = None if step is None else _number("step", step)
         if self.grid < 3:
             raise ConfigError(
                 f"grid resolution must be at least 3 nodes, got {self.grid}")
@@ -310,7 +319,7 @@ def _write_rows(fh, rows, prefix=b"", sep=b" "):
                               prefix, sep))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _quad_faces(nx, ny, prefix, base):
     """Quad lines (i,j) (i+1,j) (i+1,j+1) (i,j+1) from index base, per row."""
     a = np.arange(base, base + ny - 1)
@@ -433,11 +442,12 @@ def _node_columns(S, rep, omega_field):
 
 def _glyph_columns(S, omega_field):
     """Header and columns of the orthonormal frame (e1, e2, N) along the grid
-    row closest to y = 0."""
-    frame = analysis.complete_frame(analysis.tangent_frame(S), omega_field)
+    row closest to y = 0; the frame is built and gated on that row alone."""
+    row = np.s_[:, S.i0y]
+    e1, e2 = analysis.complete_frame(S.fx[row], S.N[row], omega_field[row])
     header = ["x", "fx", "fy", "fz", "e1x", "e1y", "e1z",
               "e2x", "e2y", "e2z", "Nx", "Ny", "Nz"]
-    cols = [S.x] + [fld[:, S.i0y, k] for fld in (S.f, frame.e1, frame.e2, S.N)
+    cols = [S.x] + [fld[:, k] for fld in (S.f[row], e1, e2, S.N[row])
                     for k in range(3)]
     return header, cols
 

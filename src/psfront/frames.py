@@ -273,7 +273,7 @@ def _uhat(up, lm, N):
     return np.concatenate([lm, slm], -1) @ toeplitz
 
 
-def truncation_tail(n_trunc, reach, lam_amp=1.0):
+def truncation_tail(n_trunc, reach, lam_amp):
     """Upper bound on the dropped series tail of a ladder truncated at n_trunc.
 
     reach is the largest |coordinate| integrated over; the degree-k ladder

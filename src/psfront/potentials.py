@@ -119,7 +119,8 @@ class PotentialSpec:
         t = np.asarray(t, float)
         lo, hi = self.interval
         eps = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if t.size and (t.min() < lo - eps or t.max() > hi + eps):
+        # written so that a NaN coordinate fails it
+        if t.size and not (t.min() >= lo - eps and t.max() <= hi + eps):
             raise DomainError(
                 f"coordinate outside interval [{lo}, {hi}]")
         return t

@@ -70,19 +70,13 @@ class GraphPatch:
                 f"iters={self.iters})")
 
 
-class _SplineVec:
-    """Componentwise bivariate spline evaluation of a vector field."""
-
-    def __init__(self, x, y, field):
-        from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
-        self.splines = [RectBivariateSpline(x, y, field[..., k])
-                        for k in range(field.shape[-1])]
-
-    def __call__(self, xs, ys, dx=0, dy=0, grid=False):
-        xs = np.asarray(xs, float)
-        ys = np.asarray(ys, float)
-        return np.stack([s(xs, ys, dx=dx, dy=dy, grid=grid)
-                         for s in self.splines], axis=-1)
+def _spline_eval(x, y, field):
+    """Evaluator (xs, ys) -> field of componentwise bivariate splines."""
+    from scipy.interpolate import RectBivariateSpline   # slow import, kept lazy
+    splines = [RectBivariateSpline(x, y, field[..., k])
+               for k in range(field.shape[-1])]
+    return lambda xs, ys: np.stack([s(xs, ys, grid=False) for s in splines],
+                                   axis=-1)
 
 
 def graph_patch(S, center, radius):
@@ -91,23 +85,17 @@ def graph_patch(S, center, radius):
     The parameter disc of the given radius must lie inside the grid, stay on
     one sheet of the front and keep clear of the cusp lines; violations raise
     PatchError (reduce the radius or move the center), and so does a NaN or
-    infinite sample of f, N, or of f_x and f_y when they are attached. See
-    graph_patch_evaluated for the chart construction itself.
+    infinite sample of f, N, f_x or f_y, each read through its own spline.
+    See graph_patch_evaluated for the chart construction itself.
     """
-    for name in ("f", "N", "fx", "fy"):
-        fld = getattr(S, name)
-        bad = [] if fld is None else np.argwhere(~np.isfinite(fld).all(-1))
+    names = ("f", "N", "fx", "fy")
+    for name in names:
+        bad = np.argwhere(~np.isfinite(getattr(S, name)).all(-1))
         if len(bad):
             raise PatchError(f"surface field {name} is not finite at node "
                              f"{tuple(bad[0].tolist())}")
-    f_ev = _SplineVec(S.x, S.y, S.f)
-    N_ev = _SplineVec(S.x, S.y, S.N)
-    if S.fx is not None and S.fy is not None:
-        fx_ev = _SplineVec(S.x, S.y, S.fx)
-        fy_ev = _SplineVec(S.x, S.y, S.fy)
-    else:
-        fx_ev = lambda xs, ys: f_ev(xs, ys, dx=1)
-        fy_ev = lambda xs, ys: f_ev(xs, ys, dy=1)
+    f_ev, N_ev, fx_ev, fy_ev = (_spline_eval(S.x, S.y, getattr(S, name))
+                                for name in names)
     return graph_patch_evaluated(f_ev, fx_ev, fy_ev, N_ev, S.x, S.y,
                                  center, radius)
 

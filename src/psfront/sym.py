@@ -50,6 +50,7 @@ import math
 
 import numpy as np
 
+from .analysis import d_x, d_y, spacing
 from .frames import _row_blocks, frame_row_blocks, tail_tolerance
 # eval_coeffs stays a sym attribute: psbench/traced.py wraps it by name
 from .loops import eval_coeffs, sup_abs
@@ -81,12 +82,13 @@ def su2_to_r3(X, tol=1e-8):
 class SurfaceGrid:
     """Immersion and unit normal sampled on the parameter grid.
 
-    f and N have shape (nx, ny, 3). sym_immersion attaches the exact tangent
-    and normal-derivative fields and unitarity, the loops.packed_unitarity of
-    the frame they came from. A surface built from arrays may leave them
-    None; consumers then fall back to finite differences. A normal whose norm
-    misses 1 by more than NORMAL_TOL, or is NaN, raises StructureError; the
-    norm is read one block of rows at a time.
+    f and N have shape (nx, ny, 3), as have fx, fy, Nx and Ny, the tangent
+    and normal-derivative fields: exact from sym_immersion, which also sets
+    unitarity (the loops.packed_unitarity of the frame they came from), and
+    filled in by order-2 differences (analysis.d_x, d_y) where a surface built
+    from arrays leaves them out. A normal whose norm misses 1 by more than
+    NORMAL_TOL, or is NaN, raises StructureError before any field is filled;
+    the norm is read one block of rows at a time.
     """
 
     def __init__(self, x, y, lam0, f, N, fx=None, fy=None, Nx=None, Ny=None):
@@ -95,10 +97,6 @@ class SurfaceGrid:
         self.lam0 = float(lam0)
         self.f = f
         self.N = N
-        self.fx = fx
-        self.fy = fy
-        self.Nx = Nx
-        self.Ny = Ny
         self.unitarity = None
         # by row blocks, as Sym fills N: no whole-grid temporary
         norm_defect = sup_abs([
@@ -107,6 +105,13 @@ class SurfaceGrid:
         if not norm_defect <= NORMAL_TOL:
             raise StructureError(
                 f"normal field norm defect {norm_defect:.3e} > {NORMAL_TOL:g}")
+        if any(v is None for v in (fx, fy, Nx, Ny)):
+            hx, hy = spacing(self)
+            fx = d_x(f, hx) if fx is None else fx
+            fy = d_y(f, hy) if fy is None else fy
+            Nx = d_x(N, hx) if Nx is None else Nx
+            Ny = d_y(N, hy) if Ny is None else Ny
+        self.fx, self.fy, self.Nx, self.Ny = fx, fy, Nx, Ny
         self.i0x = int(np.argmin(np.abs(x)))
         self.i0y = int(np.argmin(np.abs(y)))
 

@@ -15,6 +15,12 @@ def surface_from_arrays(x, y, f, N, **kw):
     return pf.SurfaceGrid(x, y, 1.0, f, N, **kw)
 
 
+def front_from_fd_normal(N, h):
+    """front_from_normal with finite-difference normal derivatives."""
+    return pf.front_from_normal(N, h, h, analysis.d_x(N, h),
+                                analysis.d_y(N, h))
+
+
 # -- fundamental forms -------------------------------------------------------
 
 def test_closed_form_first_form_is_chebyshev(closed_surface_129, closed_129):
@@ -56,37 +62,45 @@ def test_regular_mask_and_count(ps_run):
 # -- frames and angle field --------------------------------------------------
 
 def test_tangent_frame_rejects_nan_tangent(closed_129):
-    c = closed_129
-    fx = c.fx.copy()
+    fx = closed_129.fx.copy()
     fx[40, 70] = np.nan
-    S = surface_from_arrays(c.x, c.y, c.f, c.N, fx=fx, fy=c.fy)
     with pytest.raises(ValueError, match="determinant defect nan"):
-        pf.tangent_frame(S)
+        pf.tangent_frame(fx, closed_129.N)
+    # the same gate runs inside complete_frame and angle_field
+    with pytest.raises(ValueError, match="determinant defect nan"):
+        pf.complete_frame(fx, closed_129.N, closed_129.omega)
+    S = surface_from_arrays(closed_129.x, closed_129.y, closed_129.f,
+                            closed_129.N, fx=fx, fy=closed_129.fy)
+    with pytest.raises(ValueError, match="determinant defect nan"):
+        pf.angle_field(S)
 
 
 def test_complete_frame_rejects_nan_angle(ps_run):
-    frame = pf.tangent_frame(ps_run.surfaces[1.0])
+    S = ps_run.surfaces[1.0]
     omega = ps_run.omega.copy()
     omega[40, 70] = np.nan
-    with pytest.raises(ValueError, match="determinant defects"):
-        pf.complete_frame(frame, omega)
+    turned = "turned frame determinant defect nan"
+    with pytest.raises(ValueError, match=turned):
+        pf.complete_frame(S.fx, S.N, omega)
+    # one row of the grid is gated on its own
+    with pytest.raises(ValueError, match=turned):
+        pf.complete_frame(S.fx[:, 70], S.N[:, 70], omega[:, 70])
+    pf.complete_frame(S.fx[:, 69], S.N[:, 69], omega[:, 69])
 
 
 def test_tangent_frame_is_orthonormal(ps_run):
     S = ps_run.surfaces[1.0]
-    fr = pf.tangent_frame(S)
-    for v in (fr.tx, fr.N):
+    tx, fxp = pf.tangent_frame(S.fx, S.N)
+    for v in (tx, fxp):
         assert np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() < 1e-12
-    dots = np.einsum("ijk,ijk->ij", fr.tx, fr.N)
-    assert np.abs(dots).max() < 1e-12
-    perp = np.cross(fr.N, fr.tx)
-    det = np.einsum("ijk,ijk->ij", np.cross(fr.tx, perp), fr.N)
+    for a, b in ((tx, S.N), (fxp, S.N), (tx, fxp)):
+        assert np.abs(np.einsum("ijk,ijk->ij", a, b)).max() < 1e-12
+    det = np.einsum("ijk,ijk->ij", np.cross(tx, fxp), S.N)
     assert np.abs(det - 1.0).max() < 1e-8
 
 
 def test_angle_field_matches_connection(ps_run):
-    S = ps_run.surfaces[1.0]
-    om = pf.angle_field(S, pf.tangent_frame(S))
+    om = pf.angle_field(ps_run.surfaces[1.0])
     assert np.abs(om - ps_run.omega).max() < 1e-12
 
 
@@ -95,23 +109,28 @@ def test_angle_field_on_closed_form_inputs(closed_129):
     # the printed-angle orientation carries the opposite normal
     S = surface_from_arrays(c.x, c.y, c.f, -c.N, fx=c.fx, fy=c.fy,
                             Nx=-c.Nx, Ny=-c.Ny)
-    om = pf.angle_field(S, pf.tangent_frame(S))
+    om = pf.angle_field(S)
     assert np.abs(om - c.omega).max() < 1e-6
     assert abs(om[64, 64] - np.pi) < 1e-12
 
 
 def test_complete_frame_orthonormal(ps_run):
     S = ps_run.surfaces[1.0]
-    fr = pf.complete_frame(pf.tangent_frame(S), ps_run.omega)
-    triple = np.stack([fr.e1, fr.e2, fr.N], axis=-2)
+    e1, e2 = pf.complete_frame(S.fx, S.N, ps_run.omega)
+    triple = np.stack([e1, e2, S.N], axis=-2)
     gram = np.einsum("...ik,...jk->...ij", triple, triple)
     assert np.abs(gram - np.eye(3)).max() < 1e-12
-    det = np.einsum("ijk,ijk->ij", np.cross(fr.e1, fr.e2), fr.N)
+    det = np.einsum("ijk,ijk->ij", np.cross(e1, e2), S.N)
     assert np.abs(det - 1.0).max() < 1e-8
     # both asymptotic directions sit at half the angle from e1
     half = np.cos(0.5 * ps_run.omega)
-    assert np.abs(np.einsum("ijk,ijk->ij", fr.tx, fr.e1) - half).max() < 1e-12
-    assert np.abs(np.einsum("ijk,ijk->ij", S.fy, fr.e1) - half).max() < 1e-12
+    tx, _ = pf.tangent_frame(S.fx, S.N)
+    assert np.abs(np.einsum("ijk,ijk->ij", tx, e1) - half).max() < 1e-12
+    assert np.abs(np.einsum("ijk,ijk->ij", S.fy, e1) - half).max() < 1e-12
+    # a row is the same frame as the row of the whole grid
+    row = pf.complete_frame(S.fx[:, 64], S.N[:, 64], ps_run.omega[:, 64])
+    assert np.array_equal(row[0], e1[:, 64])
+    assert np.array_equal(row[1], e2[:, 64])
 
 
 def test_boundary_angle_recovery(ps_run):
@@ -228,7 +247,7 @@ def test_torsion_on_kink_away_from_axes(kink_run):
 
 def test_front_from_constant_normal_is_origin():
     N = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (17, 17, 3)).copy()
-    f, closure = pf.front_from_normal(N, 0.1, 0.1)
+    f, closure = front_from_fd_normal(N, 0.1)
     assert np.abs(f).max() < 1e-14
     assert closure.max() < 1e-14
 
@@ -257,7 +276,7 @@ def test_front_from_normal_fd_route_stays_integrable(closed_129):
     c = closed_129
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f_rec, closure = pf.front_from_normal(c.N, c.h, c.h)
+        f_rec, closure = front_from_fd_normal(c.N, c.h)
     assert closure.max() < 1e-4
 
 
@@ -268,7 +287,7 @@ def test_front_from_normal_warns_when_not_integrable():
                   np.ones_like(X)], axis=-1)
     N /= np.linalg.norm(N, axis=-1, keepdims=True)
     with pytest.warns(UserWarning, match="not integrable"):
-        f, closure = pf.front_from_normal(N, 0.1, 0.1)
+        f, closure = front_from_fd_normal(N, 0.1)
     assert closure.max() > 1e-4
 
 
@@ -276,7 +295,7 @@ def test_front_from_normal_warns_on_nan_normal():
     N = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (17, 17, 3)).copy()
     N[4, 9] = np.nan
     with pytest.warns(UserWarning, match="not integrable"):
-        f, closure = pf.front_from_normal(N, 0.1, 0.1)
+        f, closure = front_from_fd_normal(N, 0.1)
     assert np.isnan(closure.max())
 
 

@@ -227,6 +227,26 @@ def test_export_frame_glyphs_are_orthonormal(tmp_path):
     assert np.abs(gram - np.eye(3)).max() < 1e-8
 
 
+def glyph_peak(n):
+    """Traced peak bytes of cli._glyph_columns on the n x n closed-form
+    pseudosphere, whose fields the caller holds."""
+    x = np.linspace(-2.0, 2.0, n)
+    f, N, omega = psfront.pseudosphere_closed_form(x, x)
+    fx, fy = psfront.pseudosphere_tangents(x, x)
+    S = psfront.SurfaceGrid(x, x, 1.0, f, N, fx=fx, fy=fy)
+    tracemalloc.start()
+    try:
+        cli._glyph_columns(S, omega)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_glyph_memory_does_not_grow_with_the_grid():
+    # the frame is built on the written row alone
+    assert glyph_peak(513) <= glyph_peak(129) + 2 ** 20
+
+
 def test_export_coordinate_curves(tmp_path):
     # rows and columns 0, 8, 16 at stride 8; 0 and 16 at the default 16
     for stride, count in ((["8"], 6), ([], 4)):
@@ -416,6 +436,23 @@ def writer_peaks(tmp_path, n):
     return np.array(peaks)
 
 
+def test_face_cache_holds_one_grid_shape(tmp_path):
+    # a run writes one grid shape; a second shape replaces the first's faces
+    rng = np.random.default_rng(3)
+    meshes = {n: rng.normal(size=(n, n + 1, 3)) for n in (5, 9)}
+    written = []
+    for n in (5, 9, 5):
+        cli.write_obj(tmp_path / "m.obj", meshes[n])
+        cli.write_ply(tmp_path / "m.ply", meshes[n])
+        assert cli._quad_faces.cache_info().currsize == 1
+        written.append([(tmp_path / f"m.{ext}").read_bytes()
+                        for ext in ("obj", "ply")])
+    assert written[0] == written[2]
+    faces = [l for l in written[1][0].decode().splitlines()
+             if l.startswith("f ")]
+    assert len(faces) == 8 * 9 and faces[0] == "f 1 11 12 2"
+
+
 def test_writer_memory_does_not_grow_with_the_grid(tmp_path):
     # the rows are formatted one block of about 1024 lines at a time
     assert (writer_peaks(tmp_path, 513)
@@ -503,6 +540,12 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
       "-3"], "--curves must be at least 1, got -3"),
     (["generate", "--preset", "pseudosphere", "--grid", "17", "--curves",
       "0"], "--curves must be at least 1, got 0"),
+    (["verify", "--config", {"grid": 17.9, "trunc": 8.5}],
+     "grid must be an integer, got 17.9"),
+    (["verify", "--config", {"grid": 9, "trunc": 8.5}],
+     "trunc must be an integer, got 8.5"),
+    (["verify", "--config", {"grid": float("inf")}],
+     "grid must be an integer, got inf"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     # a dict stands for a --config file holding it

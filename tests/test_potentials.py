@@ -86,6 +86,20 @@ def test_domain_error():
     spec.alpha(4.0)                              # endpoint itself is fine
 
 
+SAMPLES = [[-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("spec", [
+    pf.preset_by_name("pseudosphere"),
+    PotentialSpec.from_samples(SAMPLES, SAMPLES, interval=(-1, 1), step=0.25),
+], ids=["preset", "samples"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_domain_error_on_a_non_finite_coordinate(spec, bad):
+    for side in (spec.alpha, spec.beta):
+        with pytest.raises(DomainError):
+            side(np.array([0.0, bad]))
+
+
 def test_lattice_must_contain_origin():
     zero = lambda t: np.zeros_like(np.asarray(t, float))
     with pytest.raises(ValueError):

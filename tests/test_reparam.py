@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 import psfront as pf
+from psfront import analysis
 
 
 # -- graph patches -----------------------------------------------------------
@@ -89,9 +90,13 @@ def test_patch_names_the_non_finite_field(ps_run, name):
 
 
 def test_patch_spline_derivative_route(closed_129):
-    # no tangent fields stored: derivatives come from the position splines
+    # no tangent fields given: the chart reads the finite-difference tangents
+    # SurfaceGrid fills in, through their own splines
     c = closed_129
     S = pf.SurfaceGrid(c.x, c.y, 1.0, c.f, c.N)
+    h = c.x[1] - c.x[0]
+    assert np.array_equal(S.fx, analysis.d_x(c.f, h))
+    assert np.array_equal(S.fy, analysis.d_y(c.f, h))
     p = pf.graph_patch(S, (-1.0, -1.0), 0.5)
     inner = np.s_[1:-1, 1:-1]
     assert np.abs(p.K[inner] + 1.0).max() < 1e-2
