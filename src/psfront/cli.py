@@ -14,19 +14,17 @@ produce byte-identical files. The writers format them one block of
 frames._row_blocks (about 1024 lines) at a time, by a numpy kernel whose
 bytes equal those of FMT = "%.17g"; FMT itself formats what lies outside the
 kernel's fixed-notation range. The quad face text of the last grid shape
-written is kept, as a run writes one grid shape. Every output file of
-generate and sweep --mesh is one (writer, path, args) job: with two or more
-lambda values the jobs are formatted in up to two worker processes while the
-next lambda is computed, and the "wrote" lines print in job order; the files
-of a single lambda are written in process.
-Each per-lambda loop of generate, sweep and verify holds one surface: a
-lambda's SurfaceGrid and forms are released once its row and file jobs are
-handed over, before the next lambda's Sym runs. Imports sit at the top: the
+written is kept, as a run writes one grid shape.
+generate and sweep run all of one lambda's work as one task: Sym, the forms,
+the warning, the sweep row and the lambda's files. With two or more lambda
+values the tasks run in up to two forked workers, which inherit the frame
+field and hold one surface each; the main process holds none, and prints the
+warnings and "wrote" lines in lambda order. A single lambda, and verify's
+loop, run in process, one surface at a time. Imports sit at the top: the
 package applies the PSFRONT_THREADS override before numpy loads.
 """
 
 import argparse
-import collections
 import functools
 import inspect
 import json
@@ -95,6 +93,9 @@ class RunConfig:
         self.preset = preset
         self.amplitude = (None if amplitude is None
                           else _number("amplitude", amplitude))
+        if self.amplitude is not None and not math.isfinite(self.amplitude):
+            raise ConfigError(
+                f"amplitude must be finite, got {self.amplitude}")
         self.potential = potential
         self.interval = _numbers("interval", interval)
         if len(self.interval) != 2:
@@ -177,7 +178,7 @@ class RunConfig:
         for key in ("amplitude", "grid", "trunc"):
             if getattr(args, key, None) is not None:
                 kwargs[key] = getattr(args, key)
-        if getattr(args, "lambdas", None):
+        if getattr(args, "lambdas", None) is not None:
             kwargs["lambdas"] = [t for t in args.lambdas.split(",")
                                  if t.strip()]
         if getattr(args, "out", None):
@@ -362,61 +363,59 @@ def write_ply(path, f):
         fh.writelines(_quad_faces(nx, ny, "4 ", 0))
 
 
-def _writer_pool():
-    """A process pool of min(2, usable cores) writers, and its size.
+def _start_worker(task):
+    """Pool initializer: a forked worker keeps the task it inherits."""
+    global _worker_task
+    _worker_task = task
 
-    Forked where the platform can fork, so the workers inherit the loaded
-    writers and start at once; they only format text, and call no BLAS,
-    whose threads a fork does not carry over. Elsewhere the platform's
-    default start method imports the writers in each worker.
-    """
+
+def _run_in_worker(lam):
+    return _worker_task(lam)
+
+
+def _fork_pool(task):
+    """A fork-context pool of min(2, usable cores) workers that inherit task
+    and everything it holds, or None where the platform cannot fork."""
     # imported here, not at the top: about 5 ms that verify never needs
     import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
     from concurrent.futures import ProcessPoolExecutor
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(2, cores)
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if forks else None)
-    return ProcessPoolExecutor(workers, context), workers
+    return ProcessPoolExecutor(min(2, cores), multiprocessing.get_context(
+        "fork"), initializer=_start_worker, initargs=(task,))
 
 
-def _write_meshes(jobs, count):
-    """Call each writer(path, *args) of the jobs, printing "wrote path".
-
-    count is the number of surfaces the jobs come from. With two or more,
-    each job runs in a worker process while the next surface is computed; at
-    most two jobs per worker are in flight. The lines print in job order as
-    each file lands, and a worker's exception is re-raised here. When a job
-    or a worker fails, the files already handed over still land and are
-    reported before the error goes on. The files of a single surface have
-    nothing to overlap, and are written here: a pool costs more than it saves.
-    """
-    if count < 2:
-        for writer, path, args in jobs:
-            writer(path, *args)
-            print(f"wrote {path}")
-        return
-    pool, workers = _writer_pool()
-    pending = collections.deque()
-
-    def land():
-        path, future = pending.popleft()
-        future.result()
-        print(f"wrote {path}")
-
+def _map_lambdas(task, lambdas):
+    """Run task(lam) -> (warning or None, paths, row) for every lambda, in
+    _fork_pool when there are two or more and the platform can fork (only
+    lambda and result cross), else here. Each warning and "wrote path" line
+    prints in lambda order as the results arrive; returns the rows. Every
+    lambda runs to the end, then the first failure in lambda order raises."""
+    pool = _fork_pool(task) if len(lambdas) > 1 else None
+    rows, failure = [], None
     try:
-        for writer, path, args in jobs:
-            if len(pending) == 2 * workers:
-                land()
-            pending.append((path, pool.submit(writer, path, *args)))
-        while pending:
-            land()
-    finally:
-        for path, future in pending:
-            if future.exception() is None:
+        calls = ([functools.partial(task, lam) for lam in lambdas]
+                 if pool is None else
+                 [pool.submit(_run_in_worker, lam).result for lam in lambdas])
+        for call in calls:
+            try:
+                warning, paths, row = call()
+            except Exception as exc:
+                failure = exc if failure is None else failure
+                continue
+            if warning is not None:
+                print(warning, file=sys.stderr)
+            for path in paths:
                 print(f"wrote {path}")
-        pool.shutdown()
+            rows.append(row)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
+    return rows
 
 
 def write_csv(path, header, columns):
@@ -459,28 +458,27 @@ def cmd_generate(args):
     os.makedirs(cfg.out, exist_ok=True)
     field, conn = _build_state(cfg)
 
-    def jobs():
-        for lam in cfg.lambdas:
-            S = sym.sym_immersion(field, lam, conn)
-            rep = analysis.fundamental_forms(S)
-            if rep.regular_count == 0:
-                print(f"warning: surface at lambda={lam:g} is not regular "
-                      "(image degenerates to a line)", file=sys.stderr)
-            stem = os.path.join(cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}")
-            if args.format == "csv":
-                yield (write_csv, stem + ".csv",
-                       _node_columns(S, rep, conn.omega))
-            else:
-                yield (write_ply if args.format == "ply" else write_obj,
-                       f"{stem}.{args.format}", (S.f,))
-            if args.curves is not None:
-                yield write_obj, stem + "_curves.obj", (S.f, args.curves)
-            if args.glyphs:
-                yield (write_csv, stem + "_glyphs.csv",
-                       _glyph_columns(S, conn.omega))
-            del S, rep      # the jobs keep their arrays; free the rest
+    def task(lam):
+        S = sym.sym_immersion(field, lam, conn)
+        rep = analysis.fundamental_forms(S)
+        warning = None if rep.regular_count else (
+            f"warning: surface at lambda={lam:g} is not regular "
+            "(image degenerates to a line)")
+        stem = os.path.join(cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}")
+        paths = [f"{stem}.{args.format}"]
+        if args.format == "csv":
+            write_csv(paths[0], *_node_columns(S, rep, conn.omega))
+        else:
+            (write_ply if args.format == "ply" else write_obj)(paths[0], S.f)
+        if args.curves is not None:
+            paths.append(stem + "_curves.obj")
+            write_obj(paths[-1], S.f, args.curves)
+        if args.glyphs:
+            paths.append(stem + "_glyphs.csv")
+            write_csv(paths[-1], *_glyph_columns(S, conn.omega))
+        return warning, paths, None
 
-    _write_meshes(jobs(), len(cfg.lambdas))
+    _map_lambdas(task, cfg.lambdas)
     return 0
 
 
@@ -529,24 +527,23 @@ def cmd_sweep(args):
     unit_tol = cfg.tolerances[analysis.UNITARITY_CHECK]
     checks = {name: check for name, _, check in analysis.CHECKS}
     columns = [checks[name] for name in SWEEP_COLUMNS.values()]
-    rows = []
 
-    def meshes():
-        for lam in cfg.lambdas:
-            S = sym.sym_immersion(field, lam, conn)
-            if not S.unitarity <= unit_tol:
-                print(f"warning: frame at lambda={lam:g} is not unitary "
-                      f"(residual {S.unitarity:.3e})", file=sys.stderr)
-            rep = analysis.fundamental_forms(S)
-            rows.append([lam] + [check(S, rep, conn.omega, None)
-                                 for check in columns]
-                        + [float(rep.regular_count)])
-            if args.mesh:
-                yield (write_obj, os.path.join(
-                    cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"), (S.f,))
-            del S, rep      # the job keeps S.f; free the rest before the next
+    def task(lam):
+        S = sym.sym_immersion(field, lam, conn)
+        warning = None if S.unitarity <= unit_tol else (
+            f"warning: frame at lambda={lam:g} is not unitary "
+            f"(residual {S.unitarity:.3e})")
+        rep = analysis.fundamental_forms(S)
+        row = ([lam] + [check(S, rep, conn.omega, None) for check in columns]
+               + [float(rep.regular_count)])
+        paths = []
+        if args.mesh:
+            paths.append(os.path.join(
+                cfg.out, f"{cfg.name}_lam{lam:g}_n{cfg.grid}.obj"))
+            write_obj(paths[0], S.f)
+        return warning, paths, row
 
-    _write_meshes(meshes(), len(cfg.lambdas) if args.mesh else 0)
+    rows = _map_lambdas(task, cfg.lambdas)
     header = ["lambda", *SWEEP_COLUMNS, "regular_nodes"]
     path = os.path.join(cfg.out, f"sweep_{cfg.name}_n{cfg.grid}.csv")
     write_csv(path, header, list(zip(*rows)))

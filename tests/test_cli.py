@@ -546,6 +546,12 @@ def test_oracle_sg_reports_and_writes_csv(tmp_path, capsys):
      "trunc must be an integer, got 8.5"),
     (["verify", "--config", {"grid": float("inf")}],
      "grid must be an integer, got inf"),
+    (["verify", "--preset", "pseudosphere", "--grid", "9", "--lambda", ""],
+     "at least one lambda value is required"),
+    (["verify", "--preset", "c0_kink", "--amplitude", "inf", "--grid", "9"],
+     "amplitude must be finite, got inf"),
+    (["verify", "--config", {"preset": "c0_kink", "amplitude": float("nan"),
+                             "grid": 9}], "amplitude must be finite, got nan"),
 ])
 def test_bad_configuration_exits_2(tmp_path, capsys, argv, needle):
     # a dict stands for a --config file holding it
@@ -795,7 +801,7 @@ def test_out_path_under_a_regular_file_exits_2(tmp_path, capsys):
     assert str(out) in err
 
 
-# -- the mesh writer pool ----------------------------------------------------
+# -- the per-lambda workers --------------------------------------------------
 
 @pytest.mark.parametrize("command, fmt", [
     ("sweep", "obj"), ("generate", "obj"), ("generate", "ply"),
@@ -835,75 +841,124 @@ def test_pool_writes_the_bytes_of_serial_writers(tmp_path, capsys, command,
 
 
 def test_pool_bounds_the_meshes_in_flight(tmp_path, capsys):
-    limit = 4                       # two per worker, at most two workers
+    # at most two workers, each running one task at a time, and none of the
+    # tasks in the main process; the rows and lines come back in order
     f = awkward_mesh(5, 4)
-    landed = []
+    log = tmp_path / "pids"
 
-    def jobs():
-        for k in range(12):
-            landed.extend(capsys.readouterr().out.splitlines())
-            assert k - len(landed) <= limit
-            yield cli.write_obj, tmp_path / f"m{k}.obj", (f,)
+    def task(k):
+        path = tmp_path / f"m{k}.obj"
+        cli.write_obj(path, f)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return None, [path], k
 
-    cli._write_meshes(jobs(), 12)
-    landed.extend(capsys.readouterr().out.splitlines())
-    assert landed == [f"wrote {tmp_path / f'm{k}.obj'}" for k in range(12)]
+    assert cli._map_lambdas(task, range(12)) == list(range(12))
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / f'm{k}.obj'}" for k in range(12)]
+    pids = read_lines(log)
+    assert len(pids) == 12
+    assert 1 <= len(set(pids)) <= 2 and str(os.getpid()) not in pids
+    assert multiprocessing.active_children() == []
     for k in range(12):
         assert (tmp_path / f"m{k}.obj").read_bytes() == ref_obj(f).encode()
 
 
+def record_sym_pids(monkeypatch, log):
+    """Wrap sym_immersion to append the calling process id to log."""
+    surface = sym.sym_immersion
+
+    def recorded(field, lam, conn):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return surface(field, lam, conn)
+
+    monkeypatch.setattr(sym, "sym_immersion", recorded)
+
+
 def test_pool_without_affinity_or_fork(tmp_path, capsys, monkeypatch):
-    # platforms without sched_getaffinity count cpus; without fork the pool
-    # uses the default start method
+    # platforms without sched_getaffinity count cpus for the pool; without
+    # fork the same tasks run in the main process, with the same bytes
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    get_context = multiprocessing.get_context
-
-    def no_fork(method=None):
-        if method == "fork":
-            raise ValueError("cannot find context for 'fork'")
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    rc = cli.main(["generate", "--preset", "pseudosphere", "--grid", "9",
-                   "--lambda", "0.5,2", "--out", str(tmp_path)])
-    assert rc == 0
-    paths = [tmp_path / f"pseudosphere_lam{lam}_n9.obj"
-             for lam in ("0.5", "2")]
-    assert capsys.readouterr().out.splitlines() == [f"wrote {p}" for p in paths]
-    assert multiprocessing.active_children() == []
-    cfg = cli.RunConfig(grid=9, lambdas=(0.5, 2.0))
-    field, conn = cli._build_state(cfg)
-    for lam, path in zip(cfg.lambdas, paths):
+    argv = ["generate", "--preset", "pseudosphere", "--grid", "9",
+            "--lambda", "0.5,2"]
+    names = [f"pseudosphere_lam{lam}_n9.obj" for lam in ("0.5", "2")]
+    record_sym_pids(monkeypatch, tmp_path / "pids")
+    runs = {}
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        out = tmp_path / f"fork{fork}"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert multiprocessing.active_children() == []
+        runs[fork] = [(out / name).read_bytes() for name in names]
+    assert runs[True] == runs[False]
+    pids, main = read_lines(tmp_path / "pids"), str(os.getpid())
+    assert len(pids) == 4 and main not in pids[:2] and pids[2:] == [main] * 2
+    field, conn = cli._build_state(cli.RunConfig(grid=9, lambdas=(0.5, 2.0)))
+    for lam, text in zip((0.5, 2.0), runs[False]):
         S = sym.sym_immersion(field, lam, conn)
         cli.write_obj(tmp_path / "serial", S.f)
-        assert path.read_bytes() == (tmp_path / "serial").read_bytes()
+        assert text == (tmp_path / "serial").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--lambda", "1,2"],                      # no --mesh
+    ["sweep", "--lambda", "1"],                        # no --mesh
     ["sweep", "--lambda", "1", "--mesh"],
     ["generate"],                                      # one lambda
     ["generate", "--format", "csv", "--curves", "--glyphs"],  # three files
 ])
 def test_fewer_than_two_meshes_start_no_pool(tmp_path, capsys, monkeypatch,
                                              argv):
-    def no_pool():
+    def no_pool(task):
         raise AssertionError("pool started")
 
-    monkeypatch.setattr(cli, "_writer_pool", no_pool)
+    monkeypatch.setattr(cli, "_fork_pool", no_pool)
     assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "9",
                             "--out", str(tmp_path)]) == 0
     reported = [l.removeprefix("wrote ")
                 for l in capsys.readouterr().out.splitlines()]
     assert sorted(reported) == sorted(str(p) for p in tmp_path.iterdir())
     meshes = [p for p in reported if p.endswith(".obj")]
-    assert len(meshes) == (0 if argv[-1] == "1,2" else 1)
+    assert len(meshes) == (0 if argv[-1] == "1" else 1)
     if "--glyphs" in argv:
         assert [Path(p).name for p in reported] == [
             "pseudosphere_lam1_n9" + sfx
             for sfx in (".csv", "_curves.obj", "_glyphs.csv")]
+
+
+def holds_an_array(value):
+    return isinstance(value, np.ndarray) or (
+        isinstance(value, (list, tuple)) and any(map(holds_an_array, value)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mesh"], ["sweep"], ["generate"],
+    ["generate", "--format", "csv", "--curves", "--glyphs"]])
+def test_main_process_runs_no_sym_with_two_lambdas(tmp_path, monkeypatch,
+                                                   argv):
+    # every lambda's Sym runs in a worker, which sends back no array
+    from concurrent.futures import Future
+    log = tmp_path / "pids"
+    record_sym_pids(monkeypatch, log)
+    results = []
+    set_result = Future.set_result
+
+    def recorded(self, result):
+        results.append(result)
+        set_result(self, result)
+
+    monkeypatch.setattr(Future, "set_result", recorded)
+    assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "17",
+                            "--lambda", "0.5,1,2",
+                            "--out", str(tmp_path / "out")]) == 0
+    pids = read_lines(log)
+    assert len(pids) == 3 and str(os.getpid()) not in pids
+    assert len(results) == 3
+    assert not any(map(holds_an_array, results))
 
 
 def written_and_reported(tmp_path, out):
@@ -929,6 +984,8 @@ def test_worker_write_error_exits_2(tmp_path, capsys):
 
 def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
                                                        monkeypatch):
+    # every lambda runs to the end: those that succeed, before and after the
+    # failure, land and are reported in order, then the failure exits 2
     surface = sym.sym_immersion
 
     def sym_fails_at_3(field, lam, conn):
@@ -942,7 +999,7 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
     assert rc == 2
     out, err = capsys.readouterr()
     assert written_and_reported(tmp_path, out) == [
-        str(tmp_path / f"vacuum_lam{k}_n9.obj") for k in (1, 2)]
+        str(tmp_path / f"vacuum_lam{k}_n9.obj") for k in (1, 2, 4)]
     assert err.splitlines()[-1] == "psfront: error: Sym failed"
     assert not list(tmp_path.glob("*.csv"))
     assert multiprocessing.active_children() == []
@@ -953,21 +1010,26 @@ def test_failure_between_meshes_lands_the_earlier_ones(tmp_path, capsys,
     ["generate", "--format", "csv", "--curves", "--glyphs"]])
 def test_one_surface_alive_per_lambda(tmp_path, monkeypatch, argv):
     # a lambda's surface and forms are released before the next is computed
+    # in the same process; a worker's assertion fails the run, and the calls
+    # are counted in a file, which the main process sees
     surface = sym.sym_immersion
     made = []
+    log = tmp_path / "calls"
 
     def tracked(field, lam, conn):
         alive = [k for k, ref in enumerate(made) if ref() is not None]
         assert not alive, f"surfaces {alive} alive at lambda={lam:g}"
         S = surface(field, lam, conn)
         made.append(weakref.ref(S))
+        with open(log, "a") as fh:
+            fh.write(f"{lam:g}\n")
         return S
 
     monkeypatch.setattr(sym, "sym_immersion", tracked)
     assert cli.main(argv + ["--preset", "pseudosphere", "--grid", "17",
                             "--lambda", "0.5,1,2",
-                            "--out", str(tmp_path)]) == 0
-    assert len(made) == 3
+                            "--out", str(tmp_path / "out")]) == 0
+    assert sorted(read_lines(log)) == ["0.5", "1", "2"]
 
 
 # -- the pipeline's loop kernels ---------------------------------------------
